@@ -13,6 +13,7 @@
 #include "core/error_function.h"
 #include "core/time_profile.h"
 #include "dq/config.h"
+#include "util/regex.h"
 #include "util/strings.h"
 
 namespace icewafl {
@@ -758,6 +759,19 @@ class Analyzer {
   // -- expectations ---------------------------------------------------
 
   void AnalyzeExpectation(const Json& json, const std::string& path) {
+    // IW504: the pattern goes through the loader's own compiler, so lint
+    // and load cannot disagree; the finding points at the pattern.
+    if (json.GetString("type", "") == "expect_column_values_to_match_regex" &&
+        json.Has("regex") && json.fields().at("regex").is_string()) {
+      const std::string& pattern = json.fields().at("regex").AsString();
+      auto compiled = Regex::Compile(pattern);
+      if (!compiled.ok()) {
+        diags_->AddError("IW504", PathOf(path, "regex"),
+                         "invalid regex pattern '" + pattern +
+                             "': " + compiled.status().message());
+        return;
+      }
+    }
     auto built = dq::ExpectationFromJson(json, path);
     if (!built.ok()) {
       diags_->AddError("IW100", path,

@@ -1,11 +1,11 @@
 #include <cstdint>
-#include <regex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.h"
 #include "stream/value.h"
+#include "util/regex.h"
 
 namespace icewafl {
 namespace analysis {
@@ -215,12 +215,11 @@ void AnalyzeRule(const Json& rule, const std::string& path, size_t history,
     if (RequireKey(detect, "pattern", path + "/detect", /*want_string=*/true,
                    "IW704", diags)) {
       const std::string pattern = detect.GetString("pattern", "");
-      try {
-        std::regex compiled(pattern, std::regex::ECMAScript);
-      } catch (const std::regex_error& e) {
+      auto compiled = Regex::Compile(pattern);
+      if (!compiled.ok()) {
         diags->AddError("IW704", path + "/detect/pattern",
                         "invalid regex pattern '" + pattern +
-                            "': " + e.what());
+                            "': " + compiled.status().message());
       }
     }
   } else if (detect_type == "type") {

@@ -243,13 +243,13 @@ Status RegexRule::Bind(BindContext& ctx) {
   }
   {
     BindContext::Scope scope(ctx, "detect/pattern");
-    try {
-      regex_ = std::regex(pattern_, std::regex::ECMAScript);
-    } catch (const std::regex_error& e) {
+    auto compiled = Regex::Compile(pattern_);
+    if (!compiled.ok()) {
       return ctx.Error(StatusCode::kInvalidArgument,
                        "invalid regex pattern '" + pattern_ +
-                           "': " + e.what());
+                           "': " + compiled.status().message());
     }
+    regex_ = std::move(compiled).ValueOrDie();
   }
   for (size_t i = 0; i < guards_.size(); ++i) {
     BindContext::Scope scope(ctx, "when/" + std::to_string(i) + "/column");
@@ -262,9 +262,9 @@ Status RegexRule::Bind(BindContext& ctx) {
 bool RegexRule::Violates(const Tuple& tuple, const ValueHistory*) const {
   const Value& v = accessor_.at(tuple);
   if (v.is_null()) return false;
-  if (v.is_string()) return !std::regex_match(v.AsString(), regex_);
+  if (v.is_string()) return !regex_.FullMatch(v.AsString());
   v.RenderTo(&storage_);
-  return !std::regex_match(storage_, regex_);
+  return !regex_.FullMatch(storage_);
 }
 
 Json RegexRule::DetectJson() const {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <regex>
 #include <string>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "stream/schema.h"
 #include "stream/tuple.h"
 #include "util/json.h"
+#include "util/regex.h"
 #include "util/result.h"
 
 namespace icewafl {
@@ -248,7 +248,7 @@ class RegexRule : public CleanRule {
 
  private:
   std::string pattern_;
-  std::regex regex_;
+  Regex regex_;
   /// Reused render buffer — no per-tuple allocation for short values.
   mutable std::string storage_;
 };

@@ -93,8 +93,14 @@ Result<ExpectationPtr> ExpectationFromJson(const Json& json,
                              RequireString(json, "column"));
     ICEWAFL_ASSIGN_OR_RETURN(std::string pattern,
                              RequireString(json, "regex"));
+    auto regex = Regex::Compile(pattern);
+    if (!regex.ok()) {
+      return Status::InvalidArgument("invalid regex pattern '" + pattern +
+                                     "'" + At("regex") + ": " +
+                                     regex.status().message());
+    }
     return ExpectationPtr(std::make_unique<ExpectColumnValuesToMatchRegex>(
-        std::move(column), std::move(pattern)));
+        std::move(column), std::move(regex).ValueOrDie()));
   }
   if (type == "expect_column_values_to_be_increasing") {
     ICEWAFL_ASSIGN_OR_RETURN(std::string column,

@@ -87,8 +87,8 @@ dq::ExpectationSuite SoftwareUpdateSuite() {
       "Steps", "Distance", /*or_equal=*/true);
   // (ii) Valid CaloriesBurned are 0 or have >= 3 decimal places; the
   // rounding polluter reduces the precision below that.
-  suite.Expect<dq::ExpectColumnValuesToMatchRegex>("CaloriesBurned",
-                                                   R"(0|\d+\.\d{3,})");
+  suite.Expect<dq::ExpectColumnValuesToMatchRegex>(
+      "CaloriesBurned", Regex::Compile(R"(0|\d+\.\d{3,})").ValueOrDie());
   // (iii) Tuples with BPM = 0 must show no activity.
   auto sum_zero = std::make_unique<dq::ExpectMulticolumnSumToEqual>(
       std::vector<std::string>{"ActiveMinutes", "Distance", "Steps"}, 0.0);

@@ -184,7 +184,7 @@ class Parser {
 
   Result<Json> ParseDocument() {
     Json root;
-    Status st = ParseValue(&root);
+    Status st = ParseValue(&root, 0);
     if (!st.ok()) return st;
     SkipWs();
     if (p_ != end_) return Err("trailing characters after JSON document");
@@ -231,14 +231,19 @@ class Parser {
     return true;
   }
 
-  Status ParseValue(Json* out) {
+  /// `depth` counts the containers enclosing this value.
+  Status ParseValue(Json* out, int depth) {
     SkipWs();
     if (p_ == end_) return Err("unexpected end of input");
+    if ((*p_ == '{' || *p_ == '[') && depth >= Json::kMaxDepth) {
+      return Err("nesting deeper than " + std::to_string(Json::kMaxDepth) +
+                 " levels");
+    }
     switch (*p_) {
       case '{':
-        return ParseObject(out);
+        return ParseObject(out, depth + 1);
       case '[':
-        return ParseArray(out);
+        return ParseArray(out, depth + 1);
       case '"': {
         std::string s;
         ICEWAFL_RETURN_NOT_OK(ParseString(&s));
@@ -268,7 +273,7 @@ class Parser {
     }
   }
 
-  Status ParseObject(Json* out) {
+  Status ParseObject(Json* out, int depth) {
     Advance();  // '{'
     *out = Json::MakeObject();
     SkipWs();
@@ -281,7 +286,7 @@ class Parser {
       SkipWs();
       if (!Consume(':')) return Err("expected ':' after object key");
       Json value;
-      ICEWAFL_RETURN_NOT_OK(ParseValue(&value));
+      ICEWAFL_RETURN_NOT_OK(ParseValue(&value, depth));
       out->Set(key, std::move(value));
       SkipWs();
       if (Consume(',')) continue;
@@ -290,14 +295,14 @@ class Parser {
     }
   }
 
-  Status ParseArray(Json* out) {
+  Status ParseArray(Json* out, int depth) {
     Advance();  // '['
     *out = Json::MakeArray();
     SkipWs();
     if (Consume(']')) return Status::OK();
     while (true) {
       Json value;
-      ICEWAFL_RETURN_NOT_OK(ParseValue(&value));
+      ICEWAFL_RETURN_NOT_OK(ParseValue(&value, depth));
       out->Append(std::move(value));
       SkipWs();
       if (Consume(',')) continue;

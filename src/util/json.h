@@ -87,7 +87,14 @@ class Json {
   /// \brief Pretty serialization with 2-space indentation.
   std::string DumpPretty() const;
 
-  /// \brief Parses a JSON document (strict: whole input consumed).
+  /// Deepest array/object nesting Parse accepts. Far above any config
+  /// the repository ships; it bounds the parser's recursion (and so its
+  /// stack) whatever the input.
+  static constexpr int kMaxDepth = 256;
+
+  /// \brief Parses a JSON document (strict: whole input consumed). A
+  /// document nested deeper than kMaxDepth is a ParseError naming the
+  /// offset of the first container past the cap.
   static Result<Json> Parse(const std::string& text);
 
   bool operator==(const Json& other) const;

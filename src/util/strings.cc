@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -87,20 +88,35 @@ Result<int64_t> ParseInt64(std::string_view text) {
 }
 
 void FormatDoubleTo(double v, std::string* out) {
+  char buf[40];
+  char* const end = buf + sizeof(buf);
   // Integral values render without an exponent ("20", not "2e+01").
   if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    *out = buf;
+    out->assign(buf, std::to_chars(buf, end, static_cast<int64_t>(v)).ptr);
     return;
   }
-  // Otherwise: the shortest %g representation that round-trips.
-  char buf[40];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+  if (!std::isfinite(v)) {
+    out->assign(buf, std::to_chars(buf, end, v).ptr);  // inf, -inf, nan
+    return;
   }
-  *out = buf;
+  // Otherwise: the shortest %g rendering that round-trips. No precision
+  // below the shortest round-trip digit count can round-trip, so the
+  // search starts there; %.{p}g itself may still miss (it rounds to the
+  // nearest p-digit decimal, which can fall outside the round-trip
+  // interval at a power of two), hence the loop. to_chars(general, prec)
+  // is specified to print exactly what printf("%.*g") prints.
+  char* last = std::to_chars(buf, end, v, std::chars_format::scientific).ptr;
+  int prec = 0;
+  for (const char* c = buf; c != last && *c != 'e'; ++c) {
+    prec += (*c >= '0' && *c <= '9') ? 1 : 0;
+  }
+  for (; prec <= 17; ++prec) {
+    last = std::to_chars(buf, end, v, std::chars_format::general, prec).ptr;
+    double back = 0.0;
+    std::from_chars(buf, last, back);
+    if (back == v) break;
+  }
+  out->assign(buf, last);
 }
 
 std::string FormatDouble(double v) {

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/config.h"
+#include "dq/config.h"
 #include "stream/schema.h"
 
 namespace icewafl {
@@ -333,6 +334,31 @@ TEST(AnalyzerTest, IW503EmptyExpectationRange) {
        "min": 10, "max": 5}]})");
   Diagnostics diags = AnalyzeSuite(suite, SchemaOptions());
   EXPECT_TRUE(diags.HasCode("IW503")) << diags.ToReport();
+}
+
+TEST(AnalyzerTest, IW504InvalidRegexPointsAtThePattern) {
+  // Same compiler, same pointer as the loader's error.
+  Json suite = P(R"({"name": "s", "expectations": [
+      {"type": "expect_column_values_to_match_regex", "column": "City",
+       "regex": "(unclosed"}]})");
+  Diagnostics diags = AnalyzeSuite(suite, SchemaOptions());
+  ASSERT_TRUE(diags.HasCode("IW504")) << diags.ToReport();
+  EXPECT_FALSE(diags.HasCode("IW100")) << diags.ToReport();
+  for (const Diagnostic& d : diags.items()) {
+    if (d.code != "IW504") continue;
+    EXPECT_EQ(d.path, "/expectations/0/regex");
+    EXPECT_NE(d.message.find("(at offset 0)"), std::string::npos)
+        << d.message;
+  }
+  auto loaded = dq::SuiteFromJson(suite);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("/expectations/0/regex"),
+            std::string::npos);
+  // A valid pattern is no finding.
+  Json ok = P(R"({"name": "s", "expectations": [
+      {"type": "expect_column_values_to_match_regex", "column": "City",
+       "regex": "[A-Z][a-z]+"}]})");
+  EXPECT_FALSE(AnalyzeSuite(ok, SchemaOptions()).HasErrors());
 }
 
 TEST(AnalyzerTest, SchemaFreeAnalysisSkipsSchemaChecks) {

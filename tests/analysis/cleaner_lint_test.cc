@@ -132,6 +132,40 @@ TEST(CleanerLintTest, IW704BadParams) {
   }
 }
 
+TEST(CleanerLintTest, IW704RejectsSyntaxOutsideTheRegexSubset) {
+  // The lint compiles with the runtime's Regex::Compile, so its message
+  // (and offset) is the compiler's own.
+  struct Case {
+    const char* pattern;  // JSON-escaped
+    const char* message;
+  };
+  const Case cases[] = {
+      {"(a)\\\\1", "backreferences are not supported (at offset 3)"},
+      {"a(?=b)", "lookaround"},
+      {"(?<!a)b", "lookaround"},
+      {"\\\\d+?", "lazy quantifiers are not supported (at offset 3)"},
+      {"\\\\bword\\\\b", "word boundaries"},
+      {"a{1001}", "counted repeat above 1000 (at offset 1)"},
+      {"\\\\d{2,5000}", "counted repeat above 1000"},
+      {"^\\\\d+$", "anchors are not supported"},
+  };
+  for (const Case& c : cases) {
+    const std::string doc =
+        std::string(R"({"rules": [{"label": "a", "column": "BPM",
+          "detect": {"type": "regex", "pattern": ")") +
+        c.pattern + R"("}, "repair": "drop"}]})";
+    Diagnostics diags = Analyze(doc, WearableSchema());
+    ASSERT_TRUE(diags.HasCode("IW704")) << doc << "\n" << diags.ToReport();
+    EXPECT_EQ(PathOf(diags, "IW704"), "/rules/0/detect/pattern");
+    bool found = false;
+    for (const Diagnostic& d : diags.items()) {
+      found = found || (d.code == "IW704" &&
+                        d.message.find(c.message) != std::string::npos);
+    }
+    EXPECT_TRUE(found) << c.pattern << "\n" << diags.ToReport();
+  }
+}
+
 TEST(CleanerLintTest, IW705ClampRequiresRangeDetect) {
   Diagnostics diags = Analyze(
       R"({"rules": [{"label": "a", "column": "BPM",

@@ -48,6 +48,21 @@ TEST(DqConfigTest, UnknownTypeAndMissingFieldsRejected) {
           .ok());
 }
 
+TEST(DqConfigTest, InvalidRegexIsAStatusNotAnAbort) {
+  // Regression: the expectation used to compile its pattern with
+  // std::regex outside any try, so a bad pattern threw past the loader
+  // and terminated the process.
+  auto suite = SuiteFromConfigString(R"({"expectations": [
+      {"type":"expect_column_values_to_not_be_null","column":"a"},
+      {"type":"expect_column_values_to_match_regex","column":"a",
+       "regex":"(unclosed"}]})");
+  ASSERT_FALSE(suite.ok());
+  EXPECT_EQ(suite.status().code(), StatusCode::kInvalidArgument);
+  const std::string msg = suite.status().message();
+  EXPECT_NE(msg.find("at /expectations/1/regex"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("(at offset 0)"), std::string::npos) << msg;
+}
+
 TEST(DqConfigTest, SuiteParsesAndValidates) {
   auto suite = SuiteFromConfigString(R"({
     "name": "checks",

@@ -100,7 +100,7 @@ TEST(RegexExpectationTest, DetectsReducedPrecision) {
   tuples.push_back(Row(schema, 1, Value(70.0), 0, Value(0.0), 5.12));
   tuples.push_back(Row(schema, 2, Value(70.0), 0, Value(0.0), 0.0));
   ExpectColumnValuesToMatchRegex expectation(
-      "Calories", R"(0|\d+\.\d{3,})");
+      "Calories", Regex::Compile(R"(0|\d+\.\d{3,})").ValueOrDie());
   auto r = expectation.Validate(tuples);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie().unexpected, 1u);
@@ -111,7 +111,8 @@ TEST(RegexExpectationTest, MatchesWholeValue) {
   SchemaPtr schema = WearableLikeSchema();
   TupleVector tuples;
   tuples.push_back(Row(schema, 0, Value(70.0), 0, Value(0.0), 12.5));
-  ExpectColumnValuesToMatchRegex expectation("Calories", R"(\d+)");
+  ExpectColumnValuesToMatchRegex expectation(
+      "Calories", Regex::Compile(R"(\d+)").ValueOrDie());
   auto r = expectation.Validate(tuples);
   ASSERT_TRUE(r.ok());
   // "12.5" does not fully match \d+.

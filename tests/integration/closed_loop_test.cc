@@ -41,22 +41,16 @@ TEST(ClosedLoopTest, SoftwareUpdateDeterministicFamiliesScoreHighF1) {
   EXPECT_GT(r.repair_accuracy, 0.0);
 
   // Re-validation: cleaning must strictly reduce windowed violations.
-  const int64_t before =
-      r.monitor_polluted.Get("series").ValueOrDie().size() > 0
-          ? [&] {
-              int64_t total = 0;
-              for (const Json& w :
-                   r.monitor_polluted.Get("series").ValueOrDie().items()) {
-                total += w.GetInt("violations", 0);
-              }
-              return total;
-            }()
-          : 0;
-  int64_t after = 0;
-  for (const Json& w :
-       r.monitor_cleaned.Get("series").ValueOrDie().items()) {
-    after += w.GetInt("violations", 0);
-  }
+  // Get() returns by value: name the series so the loop does not walk a
+  // destroyed temporary.
+  const auto violations = [](const Json& monitor) {
+    const Json series = monitor.Get("series").ValueOrDie();
+    int64_t total = 0;
+    for (const Json& w : series.items()) total += w.GetInt("violations", 0);
+    return total;
+  };
+  const int64_t before = violations(r.monitor_polluted);
+  const int64_t after = violations(r.monitor_cleaned);
   EXPECT_GT(before, 0);
   EXPECT_LT(after, before) << r.ToJson().DumpPretty();
 }

@@ -106,6 +106,41 @@ TEST(JsonTest, ParseRejectsMalformed) {
   EXPECT_FALSE(Json::Parse("1e").ok());
 }
 
+std::string Nested(int depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(JsonTest, ParseAcceptsNestingAtTheCap) {
+  auto r = Json::Parse(Nested(Json::kMaxDepth));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // Objects count toward the same cap.
+  std::string objects;
+  for (int i = 0; i < Json::kMaxDepth; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(Json::kMaxDepth, '}');
+  EXPECT_TRUE(Json::Parse(objects).ok());
+}
+
+TEST(JsonTest, ParseRejectsNestingPastTheCap) {
+  auto r = Json::Parse(Nested(Json::kMaxDepth + 1));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  // The offset names the first container past the cap.
+  EXPECT_NE(r.status().message().find(
+                "(at offset " + std::to_string(Json::kMaxDepth) + ")"),
+            std::string::npos)
+      << r.status().message();
+}
+
+TEST(JsonTest, HostileNestingIsAnErrorNotACrash) {
+  // 100k unclosed '[' once overflowed the stack of the recursive parser.
+  auto r = Json::Parse(std::string(100000, '['));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find("nesting deeper than"),
+            std::string::npos);
+  EXPECT_FALSE(Json::Parse("{\"a\":" + std::string(100000, '[')).ok());
+}
+
 TEST(JsonTest, ParseWhitespaceTolerant) {
   auto r = Json::Parse("  {\n \"a\" :\t[ 1 , 2 ]\r\n}  ");
   ASSERT_TRUE(r.ok());

@@ -11,7 +11,10 @@
 #                             # configure-time self-test proving the
 #                             # analysis rejects a seeded GUARDED_BY
 #                             # violation; skips when clang is absent
-#   tools/check.sh lint       # icewafl_cli lint over configs/*.json
+#   tools/check.sh lint       # icewafl_cli lint over configs/*.json,
+#                             # plus a grep gate: no std::regex or
+#                             # <regex> under src/ (patterns compile
+#                             # with the linear-time util/regex.h)
 #   tools/check.sh obs        # end-to-end observability smoke: run a
 #                             # scenario with --metrics-out/--trace-out
 #                             # and validate both exports parse
@@ -41,9 +44,12 @@
 #                             # Diagnostics on stderr
 #
 # The sanitizer presets compile with -Werror, so this script is also the
-# warning gate. (-Wmaybe-uninitialized is excluded there: GCC 12 emits
-# false positives inside libstdc++'s <regex> and variant<string>
-# machinery when sanitizers are enabled — see GCC PR105562.) The tsan pass is what keeps the pipelined runtime
+# warning gate. (-Wmaybe-uninitialized is excluded there: with
+# sanitizers enabled GCC 12 reports false positives inside libstdc++'s
+# std::variant holding a std::string, which stream/value.h's Value is,
+# and inside the std::function members of the standard matcher that
+# tests use as a differential oracle — see GCC PR105562.) The tsan pass
+# is what keeps the pipelined runtime
 # (stream/channel.h, stream/runtime.cc, the parallel pollution process)
 # data-race free. The tidy and tsafety modes degrade to a skip (exit 0
 # with a notice) when the clang tooling is not installed, so they can
@@ -126,6 +132,14 @@ run_tsafety() {
 }
 
 run_lint() {
+  echo "=== lint: no std::regex under src/ ==="
+  # libstdc++'s std::regex backtracks recursively: exponential time on
+  # some patterns and a stack overflow on long inputs. Every pattern
+  # goes through util/regex.h instead (DESIGN.md section 15).
+  if grep -rnE 'std::regex|<regex>' src/; then
+    echo "lint: std::regex crept back into src/ — use icewafl::Regex"
+    return 1
+  fi
   echo "=== lint: build icewafl_cli ==="
   cmake --preset default >/dev/null
   cmake --build --preset default -j "${jobs}" --target icewafl_cli
