@@ -56,6 +56,7 @@ struct ServeConfig {
   int admin_port = -1;
   /// Worker-pool size driving all sessions' pipelines.
   int workers = 2;
+  /// Per-subscriber queue bound in frames (ServerOptions::queue_capacity).
   size_t queue_capacity = 256;
   SlowConsumerPolicy slow_consumer = SlowConsumerPolicy::kBlock;
 

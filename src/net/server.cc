@@ -4,6 +4,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,10 +18,13 @@ namespace net {
 
 namespace {
 
-/// Upper bound on a connection's write buffer before the reactor stops
-/// refilling it from the frame queue (backpressure then builds in the
-/// bounded queue, where the slow-consumer policy applies).
+/// Upper bound on a connection's unsent in-flight bytes before the
+/// reactor stops moving frames out of the frame queue (backpressure then
+/// builds in the bounded queue, where the slow-consumer policy applies).
 constexpr size_t kMaxOutbufBytes = 256 * 1024;
+
+/// In-flight frames handed to one sendmsg call.
+constexpr size_t kMaxIovecs = 64;
 
 /// Grace period for flushing connected subscribers during Wait(); an
 /// unresponsive peer cannot hold shutdown hostage forever.
@@ -81,11 +85,19 @@ class PollutionServer::FanoutSink : public Sink {
     }
   }
 
-  using Sink::Write;
+  // A single tuple is a batch of one through the same fan-out path.
+  Status Write(const Tuple& tuple) override { return Write(Tuple(tuple)); }
 
-  Status Write(const Tuple& tuple) override {
-    // Two short stop-flag probes, taken one after the other (never
-    // nested): the server-wide flag under the registry lock, the
+  Status Write(Tuple&& tuple) override {
+    TupleVector one;
+    one.push_back(std::move(tuple));
+    return WriteBatch(&one);
+  }
+
+  Status WriteBatch(TupleVector* batch) override {
+    if (batch->empty()) return Status::OK();
+    // Two short stop-flag probes per batch, taken one after the other
+    // (never nested): the server-wide flag under the registry lock, the
     // session flag under its own.
     {
       MutexLock lock(&server_->mu_);
@@ -100,36 +112,23 @@ class PollutionServer::FanoutSink : public Sink {
       }
     }
     if (has_tuple_) {
-      // Encode once; every tuple subscriber queue shares the frame.
-      auto frame =
-          std::make_shared<const std::string>(EncodeTupleFrame(tuple));
-      for (size_t i = 0; i < subscribers_.size(); ++i) {
-        if (!open_[i] || wants_batch_[i]) continue;
-        if (server_->EnqueueFrame(subscribers_[i], frame,
-                                  session_->metrics)) {
-          if (session_->metrics.tuples_sent != nullptr) {
-            session_->metrics.tuples_sent->Increment();
-          }
-        } else {
-          open_[i] = false;  // disconnected or cut by policy
-        }
-      }
+      FanOutTupleFrames(batch->data(), batch->size(), /*to_batch=*/false);
     }
     if (has_batch_) {
-      pending_.push_back(tuple);
-      if (pending_.size() >= batch_rows_) {
-        ICEWAFL_RETURN_NOT_OK(FlushBatch());
+      for (Tuple& t : *batch) {
+        pending_.push_back(std::move(t));
+        if (pending_.size() >= batch_rows_) ICEWAFL_RETURN_NOT_OK(FlushBatch());
       }
     }
-    ++count_;
+    count_ += batch->size();
     return Status::OK();
   }
 
   /// \brief Fans out the buffered rows to batch subscribers as one
-  /// encode-once Batch frame. Falls back to per-tuple frames when the
-  /// rows cannot be columnarized (mixed schemas) or the batch payload
-  /// would exceed the frame limit — subscribers accept both kinds.
-  /// RunSession calls this once more for the trailing partial batch.
+  /// encode-once Batch frame. Falls back to tuple frames when the rows
+  /// cannot be columnarized (mixed schemas) or the batch payload would
+  /// exceed the frame limit — subscribers accept both kinds. RunSession
+  /// calls this once more for the trailing partial batch.
   Status FlushBatch() {
     if (pending_.empty()) return Status::OK();
     std::shared_ptr<const std::string> frame;
@@ -145,31 +144,23 @@ class PollutionServer::FanoutSink : public Sink {
         frame = std::make_shared<const std::string>(std::move(bytes));
       }
     }
+    if (frame == nullptr) {
+      FanOutTupleFrames(pending_.data(), pending_.size(), /*to_batch=*/true);
+      pending_.clear();
+      return Status::OK();
+    }
     for (size_t i = 0; i < subscribers_.size(); ++i) {
       if (!open_[i] || !wants_batch_[i]) continue;
-      if (frame != nullptr) {
-        if (server_->EnqueueFrame(subscribers_[i], frame,
-                                  session_->metrics)) {
-          if (session_->metrics.tuples_sent != nullptr) {
-            session_->metrics.tuples_sent->Increment(pending_.size());
-          }
-          if (session_->metrics.batches_sent != nullptr) {
-            session_->metrics.batches_sent->Increment();
-          }
-        } else {
-          open_[i] = false;
-        }
+      if (!server_->EnqueueFrame(subscribers_[i], frame, 1,
+                                 session_->metrics)) {
+        open_[i] = false;
         continue;
       }
-      for (const Tuple& t : pending_) {
-        auto tf = std::make_shared<const std::string>(EncodeTupleFrame(t));
-        if (!server_->EnqueueFrame(subscribers_[i], tf, session_->metrics)) {
-          open_[i] = false;
-          break;
-        }
-        if (session_->metrics.tuples_sent != nullptr) {
-          session_->metrics.tuples_sent->Increment();
-        }
+      if (session_->metrics.tuples_sent != nullptr) {
+        session_->metrics.tuples_sent->Increment(pending_.size());
+      }
+      if (session_->metrics.batches_sent != nullptr) {
+        session_->metrics.batches_sent->Increment();
       }
     }
     pending_.clear();
@@ -183,6 +174,33 @@ class PollutionServer::FanoutSink : public Sink {
   bool open(size_t i) const { return open_[i]; }
 
  private:
+  /// Encodes rows [0, n) as tuple frames into shared chunks of at most
+  /// queue_capacity frames (so one chunk always fits an empty queue and
+  /// the per-subscriber bound holds exactly), and enqueues each chunk
+  /// once per open subscriber of the given kind.
+  void FanOutTupleFrames(const Tuple* rows, size_t n, bool to_batch) {
+    const size_t cap = server_->options_.queue_capacity;
+    for (size_t begin = 0; begin < n; begin += cap) {
+      const size_t frames = std::min(n - begin, cap);
+      std::string bytes;
+      for (size_t r = begin; r < begin + frames; ++r) {
+        AppendTupleFrame(rows[r], &bytes);
+      }
+      auto chunk = std::make_shared<const std::string>(std::move(bytes));
+      for (size_t i = 0; i < subscribers_.size(); ++i) {
+        if (!open_[i] || wants_batch_[i] != to_batch) continue;
+        if (!server_->EnqueueFrame(subscribers_[i], chunk, frames,
+                                   session_->metrics)) {
+          open_[i] = false;  // disconnected or cut by policy
+          continue;
+        }
+        if (session_->metrics.tuples_sent != nullptr) {
+          session_->metrics.tuples_sent->Increment(frames);
+        }
+      }
+    }
+  }
+
   PollutionServer* server_;
   Session* session_;
   std::vector<ConnPtr> subscribers_;
@@ -297,7 +315,7 @@ Status PollutionServer::StopSession(const std::string& id) {
       // skips it because the state is no longer kQueued.
       RetireLocked(session, "session '" + id + "' stopped");
     }
-    // kRunning: the worker's sink aborts at its next Write and the run
+    // kRunning: the worker's sink aborts at its next batch and the run
     // epilogue retires the session.
   }
   cv_.NotifyAll();
@@ -649,7 +667,7 @@ void PollutionServer::RunSession(const SessionPtr& session,
                   : EncodeErrorFrame(status.ToString()));
   for (size_t i = 0; i < sink.subscribers().size(); ++i) {
     if (sink.open(i)) {
-      (void)EnqueueFrame(sink.subscribers()[i], tail, session->metrics);
+      (void)EnqueueFrame(sink.subscribers()[i], tail, 1, session->metrics);
     }
     sink.subscribers()[i]->queue->Close();
   }
@@ -691,30 +709,37 @@ void PollutionServer::RunSession(const SessionPtr& session,
 // ---------------------------------------------------------------------
 
 bool PollutionServer::EnqueueFrame(
-    const ConnPtr& conn, const std::shared_ptr<const std::string>& frame,
-    const obs::SessionMetrics& metrics) {
-  QueuedFrame qf{frame, std::chrono::steady_clock::now()};
+    const ConnPtr& conn, const std::shared_ptr<const std::string>& bytes,
+    size_t frames, const obs::SessionMetrics& metrics) {
+  QueuedFrame qf{bytes, std::chrono::steady_clock::now()};
+  // The reactor only needs a poke when this push made the queue
+  // non-empty: while it is non-empty the reactor polls for POLLOUT or
+  // is about to drain it. Push decides that under the channel lock, so
+  // no wake-up can be lost.
+  bool was_empty = false;
   switch (options_.slow_consumer) {
     case SlowConsumerPolicy::kBlock: {
       // Blocking push: backpressure propagates into the pipeline
       // runtime, which is exactly the contract of this policy.
-      if (!conn->queue->Push(std::move(qf))) return false;
-      wake_.Poke();
+      if (!conn->queue->Push(std::move(qf), frames, &was_empty)) return false;
+      if (was_empty) wake_.Poke();
       return true;
     }
     case SlowConsumerPolicy::kDropOldest: {
       while (true) {
-        switch (conn->queue->TryPush(qf)) {
+        switch (conn->queue->TryPush(qf, frames, &was_empty)) {
           case FrameQueue::PushResult::kOk:
-            wake_.Poke();
+            if (was_empty) wake_.Poke();
             return true;
           case FrameQueue::PushResult::kClosed:
             return false;
           case FrameQueue::PushResult::kFull: {
+            // Drop one whole oldest item; drops are counted in frames.
             QueuedFrame discard;
-            if (conn->queue->TryPop(&discard) &&
+            size_t dropped = 0;
+            if (conn->queue->TryPop(&discard, &dropped) &&
                 metrics.slow_drops != nullptr) {
-              metrics.slow_drops->Increment();
+              metrics.slow_drops->Increment(dropped);
             }
             break;  // retry the push
           }
@@ -722,9 +747,9 @@ bool PollutionServer::EnqueueFrame(
       }
     }
     case SlowConsumerPolicy::kDisconnect: {
-      switch (conn->queue->TryPush(std::move(qf))) {
+      switch (conn->queue->TryPush(std::move(qf), frames, &was_empty)) {
         case FrameQueue::PushResult::kOk:
-          wake_.Poke();
+          if (was_empty) wake_.Poke();
           return true;
         case FrameQueue::PushResult::kClosed:
           return false;
@@ -750,19 +775,20 @@ bool PollutionServer::EnqueueFrame(
 }
 
 // ---------------------------------------------------------------------
-// Reactor (event loop; single thread owns outbuf/decoder per conn)
+// Reactor (event loop; single thread owns the in-flight frames and the
+// decoder of every conn)
 // ---------------------------------------------------------------------
 
 void PollutionServer::HandleSubscribe(const ConnPtr& conn,
                                       const std::string& payload) {
-  // Rejections are answered on the spot: an Error frame into the write
-  // buffer (the reactor owns it), then flush-and-close.
+  // Rejections are answered on the spot: an Error frame into the
+  // in-flight list (the reactor owns it), then flush-and-close.
   auto reject = [&](const std::string& message) {
     {
       MutexLock lock(&conn->mu);
       conn->state = Connection::State::kClosing;
     }
-    conn->outbuf.append(EncodeErrorFrame(message));
+    conn->AppendOut(EncodeErrorFrame(message));
   };
 
   Result<SubscribeRequest> request = DecodeSubscribePayload(payload);
@@ -841,10 +867,11 @@ void PollutionServer::HandleSubscribe(const ConnPtr& conn,
     reject("session '" + session->id + "' has ended");
     return;
   }
-  // outbuf is reactor-only state and schema_frame is immutable; frames
-  // from a run that starts right now still trail the schema frame,
-  // because only this reactor thread moves queue bytes into outbuf.
-  conn->outbuf.append(session->schema_frame);
+  // The in-flight list is reactor-only state and schema_frame is
+  // immutable; frames from a run that starts right now still trail the
+  // schema frame, because only this reactor thread moves queued frames
+  // into the in-flight list.
+  conn->AppendOut(session->schema_frame);
   {
     MutexLock lock(&mu_);
     ScheduleReadyLocked();
@@ -889,8 +916,8 @@ bool PollutionServer::ServiceConn(const ConnPtr& conn) {
           MutexLock lock(&conn->mu);
           conn->state = Connection::State::kClosing;
         }
-        conn->outbuf.append(EncodeErrorFrame("bad subscribe frame: " +
-                                             next.status().ToString()));
+        conn->AppendOut(EncodeErrorFrame("bad subscribe frame: " +
+                                         next.status().ToString()));
         state = Connection::State::kClosing;
       } else if (next.ValueOrDie()) {
         if (type != kFrameSubscribe) {
@@ -898,7 +925,7 @@ bool PollutionServer::ServiceConn(const ConnPtr& conn) {
             MutexLock lock(&conn->mu);
             conn->state = Connection::State::kClosing;
           }
-          conn->outbuf.append(EncodeErrorFrame(
+          conn->AppendOut(EncodeErrorFrame(
               "expected a Subscribe hello frame, got frame type " +
               std::to_string(type)));
           state = Connection::State::kClosing;
@@ -920,43 +947,51 @@ bool PollutionServer::ServiceConn(const ConnPtr& conn) {
     state = conn->state;
     send_latency = conn->send_latency;
   }
-  // Refill the write buffer from the frame queue.
+  // Move queued frames (chunks) into the in-flight list, up to the
+  // byte cap. The shared frame bytes are referenced, never copied.
   QueuedFrame frame;
-  while (conn->outbuf.size() - conn->outpos < kMaxOutbufBytes &&
-         conn->queue->TryPop(&frame)) {
+  while (conn->out_bytes < kMaxOutbufBytes && conn->queue->TryPop(&frame)) {
+    // Observed once per dequeued item (a chunk of tuple frames, a Batch
+    // frame, or a control frame).
     if (send_latency != nullptr) {
       send_latency->Observe(
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         frame.enqueued)
               .count());
     }
-    conn->outbuf.append(*frame.bytes);
+    conn->out_bytes += frame.bytes->size();
+    conn->out.push_back(std::move(frame.bytes));
   }
-  if (conn->outpos == conn->outbuf.size()) {
-    conn->outbuf.clear();
-    conn->outpos = 0;
-  } else if (conn->outpos > kMaxOutbufBytes) {
-    conn->outbuf.erase(0, conn->outpos);
-    conn->outpos = 0;
-  }
-  // Drain the write buffer into the socket.
-  while (conn->outpos < conn->outbuf.size()) {
-    const ssize_t n =
-        ::send(conn->fd.get(), conn->outbuf.data() + conn->outpos,
-               conn->outbuf.size() - conn->outpos, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->outpos += static_cast<size_t>(n);
-      if (metrics_.bytes_sent != nullptr) {
+  // Drain the in-flight frames into the socket, up to kMaxIovecs of
+  // them per sendmsg.
+  while (!conn->out.empty()) {
+    iovec iov[kMaxIovecs];
+    size_t count = 0;
+    size_t offset = conn->out_offset;
+    for (const auto& bytes : conn->out) {
+      if (count == kMaxIovecs) break;
+      iov[count].iov_base = const_cast<char*>(bytes->data()) + offset;
+      iov[count].iov_len = bytes->size() - offset;
+      ++count;
+      offset = 0;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(conn->fd.get(), &msg, MSG_NOSIGNAL);
+    if (n >= 0) {
+      conn->ConsumeOut(static_cast<size_t>(n));
+      if (n > 0 && metrics_.bytes_sent != nullptr) {
         metrics_.bytes_sent->Increment(static_cast<uint64_t>(n));
       }
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    if (errno == EINTR) continue;
     conn->queue->Poison();
     return false;  // broken connection
   }
-  const bool flushed = conn->outpos == conn->outbuf.size();
+  const bool flushed = conn->out.empty();
   // A closing connection hangs up once its Error tail is flushed.
   if (state == Connection::State::kClosing && flushed) return false;
   // Graceful completion: queue closed and drained, buffer flushed.
@@ -1041,8 +1076,8 @@ void PollutionServer::ReactorLoop() {
     if (accepting) fds.push_back({listen_fd_.get(), POLLIN, 0});
     for (const ConnPtr& c : snapshot) {
       short events = POLLIN;
-      const bool wants_write = c->outpos < c->outbuf.size() ||
-                               c->queue->size() > 0 || c->queue->closed();
+      const bool wants_write = !c->out.empty() || c->queue->size() > 0 ||
+                               c->queue->closed();
       if (wants_write) events |= POLLOUT;
       fds.push_back({c->fd.get(), events, 0});
     }

@@ -61,7 +61,10 @@ struct ServerOptions {
   /// workers sharding); must be >= 1.
   int workers = 2;
   /// Frames each subscriber queue buffers before the slow-consumer
-  /// policy applies (must be >= 1).
+  /// policy applies (must be >= 1). Tuple frames are queued in chunks —
+  /// all of one runtime batch's frames, split at this many — and a
+  /// chunk weighs its frame count, so the bound is exact in frames. A
+  /// Batch frame, an End or an Error frame weighs 1.
   size_t queue_capacity = 256;
   /// Tuples per Batch frame for subscribers that negotiated
   /// kCapBatchFrames in their Subscribe hello (must be >= 1). Tuple
@@ -119,11 +122,13 @@ struct SessionInfo {
 /// *worker pool* pops ready sessions from a run queue and drives one
 /// full pipeline run each (many sessions, few workers). Each subscriber
 /// has a bounded `BoundedChannel` frame queue between a worker and the
-/// reactor: the per-run fan-out sink encodes each tuple once and
-/// enqueues the shared frame per subscriber; the reactor drains queues
-/// into per-connection write buffers and the sockets. The reactor never
-/// ticks: every cross-thread transition pokes the self-pipe, so poll()
-/// blocks indefinitely when nothing is happening.
+/// reactor: the per-run fan-out sink encodes each runtime batch's tuple
+/// frames once into a shared chunk and enqueues it once per subscriber;
+/// the reactor moves queued chunks into a per-connection in-flight list
+/// and writes it to the socket with sendmsg, without copying. The
+/// reactor never ticks: every cross-thread transition pokes the
+/// self-pipe (a frame push only when it makes a queue non-empty), so
+/// poll() blocks indefinitely when nothing is happening.
 ///
 /// Protocol per connection (wire version 2): the client speaks first
 /// with a Subscribe frame naming a session; the server answers with
@@ -181,8 +186,9 @@ class PollutionServer {
 
   /// \brief Retires a session at runtime. A waiting session retires
   /// immediately (its waiting subscribers get an Error frame); a
-  /// running session aborts its current run. Idempotent once retired;
-  /// NotFound for an unknown id.
+  /// running session aborts its current run at the fan-out's next
+  /// batch (at most one runtime batch, 256 rows by default, is still
+  /// enqueued). Idempotent once retired; NotFound for an unknown id.
   Status StopSession(const std::string& id) EXCLUDES(mu_);
 
   /// \brief Atomically publishes `next` as the session's newest plan.
@@ -306,8 +312,8 @@ class PollutionServer {
   struct Connection {
     enum class State {
       kHandshake,  ///< accepted; awaiting the Subscribe hello
-      kStreaming,  ///< subscribed; frames flow queue → outbuf → socket
-      kClosing,    ///< flush outbuf (an Error tail), then hang up
+      kStreaming,  ///< subscribed; frames flow queue → in-flight → socket
+      kClosing,    ///< flush in-flight frames (an Error tail), then hang up
     };
 
     // Immutable after the accept path publishes the connection.
@@ -315,11 +321,29 @@ class PollutionServer {
     UniqueFd fd;
     std::shared_ptr<FrameQueue> queue;
 
-    /// Reactor-thread only: hello parser and write buffer. Never
-    /// touched off the reactor, so they need no lock.
-    FrameDecoder decoder;
-    std::string outbuf;
-    size_t outpos = 0;
+    /// Reactor-thread only: hello parser and the in-flight frames (the
+    /// queue's shared frame bytes, written with sendmsg without a
+    /// copy). Never touched off the reactor, so they need no lock.
+    FrameDecoder decoder{kMaxHelloPayload};
+    std::deque<std::shared_ptr<const std::string>> out;
+    size_t out_offset = 0;  ///< bytes of out.front() already sent
+    size_t out_bytes = 0;   ///< unsent bytes across `out`
+
+    /// Appends a reactor-built frame (schema, handshake error).
+    void AppendOut(std::string bytes) {
+      out_bytes += bytes.size();
+      out.push_back(std::make_shared<const std::string>(std::move(bytes)));
+    }
+    /// Retires `n` sent bytes from the front of `out`.
+    void ConsumeOut(size_t n) {
+      out_bytes -= n;
+      n += out_offset;
+      while (!out.empty() && n >= out.front()->size()) {
+        n -= out.front()->size();
+        out.pop_front();
+      }
+      out_offset = n;
+    }
 
     /// Third rank of the hierarchy: acquired after registry/session
     /// locks, before channel locks; never while holding another
@@ -327,6 +351,7 @@ class PollutionServer {
     mutable Mutex mu{kLockRankConnection};
     State state GUARDED_BY(mu) = State::kHandshake;
     SessionPtr session GUARDED_BY(mu);
+    /// Queue-wait histogram, observed per dequeued item (a chunk).
     obs::Histogram* send_latency GUARDED_BY(mu) = nullptr;
     bool in_run GUARDED_BY(mu) = false;
     bool kill GUARDED_BY(mu) = false;
@@ -366,11 +391,14 @@ class PollutionServer {
   /// Reactor: parses and answers the Subscribe hello in `payload`.
   void HandleSubscribe(const ConnPtr& conn, const std::string& payload)
       EXCLUDES(mu_);
-  /// Applies the slow-consumer policy to enqueue `frame` for `conn`.
-  /// Returns false when the conn can no longer receive (closed/killed).
+  /// Applies the slow-consumer policy to enqueue `bytes` — `frames`
+  /// whole frames back to back, weighing `frames` in the queue — for
+  /// `conn`, poking the reactor when the queue was empty. Returns false
+  /// when the conn can no longer receive (closed/killed).
   bool EnqueueFrame(const ConnPtr& conn,
-                    const std::shared_ptr<const std::string>& frame,
-                    const obs::SessionMetrics& metrics) EXCLUDES(mu_);
+                    const std::shared_ptr<const std::string>& bytes,
+                    size_t frames, const obs::SessionMetrics& metrics)
+      EXCLUDES(mu_);
   /// Reactor: advances one connection (read side, queue drain, socket
   /// flush). Returns false when the connection is finished and should
   /// be removed.

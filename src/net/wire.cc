@@ -9,20 +9,42 @@ namespace {
 
 constexpr int kMaxVarintBytes = 10;
 
+size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+/// In-place writers for buffers sized up front; each returns the end.
+char* PutVarint(uint64_t v, char* p) {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>((v & 0x7F) | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
+char* PutFixed64(uint64_t v, char* p) {
+  for (int i = 0; i < 8; ++i) {
+    p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+  return p + 8;
+}
+
 }  // namespace
 
 void AppendVarint(uint64_t v, std::string* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
+  char buf[kMaxVarintBytes];
+  out->append(buf, PutVarint(v, buf));
 }
 
 void AppendFixed64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  char buf[8];
+  out->append(buf, PutFixed64(v, buf));
 }
 
 Result<uint8_t> ByteReader::U8() {
@@ -116,33 +138,6 @@ std::string EncodeSchemaPayload(const Schema& schema) {
 
 namespace {
 
-void AppendValue(const Value& v, std::string* out) {
-  out->push_back(static_cast<char>(v.type()));
-  switch (v.type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kBool:
-      out->push_back(v.AsBool() ? 1 : 0);
-      break;
-    case ValueType::kInt64:
-      AppendFixed64(static_cast<uint64_t>(v.AsInt64()), out);
-      break;
-    case ValueType::kDouble: {
-      uint64_t bits = 0;
-      const double d = v.AsDouble();
-      std::memcpy(&bits, &d, sizeof(bits));
-      AppendFixed64(bits, out);
-      break;
-    }
-    case ValueType::kString: {
-      const std::string& s = v.AsString();
-      AppendVarint(s.size(), out);
-      out->append(s);
-      break;
-    }
-  }
-}
-
 Result<Value> ReadValue(ByteReader* reader) {
   ICEWAFL_ASSIGN_OR_RETURN(uint8_t tag, reader->U8());
   switch (static_cast<ValueType>(tag)) {
@@ -207,16 +202,93 @@ Status ReadFixed64Span(ByteReader* reader, void* dst, size_t n) {
 #endif
 }
 
+/// Exact byte count of a self-describing value (tag + payload).
+size_t ValueSize(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      return 1;
+    case ValueType::kBool:
+      return 2;
+    case ValueType::kInt64:
+    case ValueType::kDouble:
+      return 9;
+    case ValueType::kString:
+      return 1 + VarintSize(v.AsString().size()) + v.AsString().size();
+  }
+  return 1;
+}
+
+/// Writes the ValueSize(v) bytes of `v` at `p`; returns the end.
+char* PutValue(const Value& v, char* p) {
+  *p++ = static_cast<char>(v.type());
+  switch (v.type()) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kBool:
+      *p++ = v.AsBool() ? 1 : 0;
+      break;
+    case ValueType::kInt64:
+      p = PutFixed64(static_cast<uint64_t>(v.AsInt64()), p);
+      break;
+    case ValueType::kDouble: {
+      uint64_t bits = 0;
+      const double d = v.AsDouble();
+      std::memcpy(&bits, &d, sizeof(bits));
+      p = PutFixed64(bits, p);
+      break;
+    }
+    case ValueType::kString: {
+      const std::string& s = v.AsString();
+      p = PutVarint(s.size(), p);
+      if (!s.empty()) std::memcpy(p, s.data(), s.size());
+      p += s.size();
+      break;
+    }
+  }
+  return p;
+}
+
+void AppendValue(const Value& v, std::string* out) {
+  const size_t start = out->size();
+  out->resize(start + ValueSize(v));
+  PutValue(v, out->data() + start);
+}
+
+/// Exact byte count of the tuple payload WriteTuplePayload produces.
+size_t TuplePayloadSize(const Tuple& tuple) {
+  size_t n = 3 * 8 + VarintSize(ZigzagEncode(tuple.substream())) +
+             VarintSize(tuple.num_values());
+  for (const Value& v : tuple.values()) n += ValueSize(v);
+  return n;
+}
+
+/// Writes the tuple payload (layout in wire.h) at `p`, which must have
+/// TuplePayloadSize(tuple) bytes of room; returns the end.
+char* WriteTuplePayload(const Tuple& tuple, char* p) {
+  p = PutFixed64(tuple.id(), p);
+  p = PutFixed64(static_cast<uint64_t>(tuple.event_time()), p);
+  p = PutFixed64(static_cast<uint64_t>(tuple.arrival_time()), p);
+  p = PutVarint(ZigzagEncode(tuple.substream()), p);
+  p = PutVarint(tuple.num_values(), p);
+  for (const Value& v : tuple.values()) p = PutValue(v, p);
+  return p;
+}
+
 }  // namespace
 
+void AppendTupleFrame(const Tuple& tuple, std::string* out) {
+  const size_t payload = TuplePayloadSize(tuple);
+  const size_t start = out->size();
+  out->resize(start + 1 + VarintSize(payload) + payload);
+  char* p = out->data() + start;
+  *p++ = static_cast<char>(kFrameTuple);
+  p = PutVarint(payload, p);
+  WriteTuplePayload(tuple, p);
+}
+
 std::string EncodeTuplePayload(const Tuple& tuple) {
-  std::string out;
-  AppendFixed64(tuple.id(), &out);
-  AppendFixed64(static_cast<uint64_t>(tuple.event_time()), &out);
-  AppendFixed64(static_cast<uint64_t>(tuple.arrival_time()), &out);
-  AppendVarint(ZigzagEncode(tuple.substream()), &out);
-  AppendVarint(tuple.num_values(), &out);
-  for (const Value& v : tuple.values()) AppendValue(v, &out);
+  std::string out(TuplePayloadSize(tuple), '\0');
+  WriteTuplePayload(tuple, out.data());
   return out;
 }
 
@@ -303,7 +375,7 @@ std::string EncodeSchemaFrame(const Schema& schema) {
 
 std::string EncodeTupleFrame(const Tuple& tuple) {
   std::string out;
-  AppendFrame(kFrameTuple, EncodeTuplePayload(tuple), &out);
+  AppendTupleFrame(tuple, &out);
   return out;
 }
 
@@ -629,9 +701,10 @@ Result<bool> FrameDecoder::Next(uint8_t* type, std::string* payload) {
     }
   }
   if (!complete) return Status::ParseError("wire: frame length varint too long");
-  if (len > kMaxFramePayload) {
+  if (len > max_payload_) {
     return Status::ParseError("wire: frame payload of " + std::to_string(len) +
-                              " bytes exceeds limit");
+                              " bytes exceeds limit of " +
+                              std::to_string(max_payload_));
   }
   if (avail - header < len) return false;  // partial payload
   payload->assign(buffer_, consumed_ + header, static_cast<size_t>(len));

@@ -66,6 +66,12 @@ constexpr uint64_t kMaxFramePayload = 16ull << 20;  // 16 MiB
 /// lint as IW607 before a config ever reaches the server).
 constexpr uint64_t kMaxSessionIdBytes = 256;
 
+/// \brief Payload cap of the server's handshake decoder. The largest
+/// valid Subscribe hello (two 10-byte varints, a 2-byte id length and a
+/// kMaxSessionIdBytes id) is under 300 bytes, so an unauthenticated
+/// peer cannot make the server buffer more than this per connection.
+constexpr uint64_t kMaxHelloPayload = 1024;
+
 // ---------------------------------------------------------------------
 // Primitives
 // ---------------------------------------------------------------------
@@ -124,6 +130,13 @@ class ByteReader {
 
 /// \brief Appends one complete frame (type + length prefix + payload).
 void AppendFrame(uint8_t type, const std::string& payload, std::string* out);
+
+/// \brief Appends one complete Tuple frame to `out` in a single pass:
+/// the frame is sized once and header and payload are written in place
+/// (no intermediate payload string). Appending many tuples to one
+/// buffer yields their frames back to back, byte-identical to
+/// concatenated EncodeTupleFrame results.
+void AppendTupleFrame(const Tuple& tuple, std::string* out);
 
 /// \brief Schema payload: attr_count:varint, then per attribute
 /// name_len:varint name:bytes type:u8, then timestamp_index:varint.
@@ -223,10 +236,16 @@ Result<SubscribeRequest> DecodeSubscribePayload(const std::string& payload);
 /// Feed() appends raw received bytes; Next() extracts the next complete
 /// frame. A partial frame is not an error — Next() returns false until
 /// the rest arrives — but a malformed header (overlong varint, payload
-/// length above kMaxFramePayload) is a Status, because no amount of
+/// length above the decoder's cap) is a Status, because no amount of
 /// further input can repair it.
 class FrameDecoder {
  public:
+  /// \param max_payload largest accepted payload length; a larger
+  /// length prefix is an error as soon as the prefix is read, before
+  /// any of the payload is buffered.
+  explicit FrameDecoder(uint64_t max_payload = kMaxFramePayload)
+      : max_payload_(max_payload) {}
+
   void Feed(const void* data, size_t n);
 
   /// \return true and fills `*type` / `*payload` when a complete frame
@@ -236,6 +255,7 @@ class FrameDecoder {
   size_t buffered() const { return buffer_.size() - consumed_; }
 
  private:
+  uint64_t max_payload_;
   std::string buffer_;
   size_t consumed_ = 0;
 };

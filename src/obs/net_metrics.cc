@@ -30,20 +30,24 @@ SessionMetrics SessionMetrics::Bind(MetricRegistry* registry,
                                 "Pollution runs served per session");
   m.tuples_sent =
       registry->GetCounter("icewafl_server_tuples_sent_total", labels,
-                           "Tuple frames enqueued to subscribers");
+                           "Tuples enqueued to subscribers, as tuple frames "
+                           "or as rows of batch frames");
   m.batches_sent = registry->GetCounter(
       "icewafl_server_batches_sent_total", labels,
       "Batch frames enqueued to batch-capable subscribers");
   m.slow_drops = registry->GetCounter(
       "icewafl_server_slow_drops_total", labels,
-      "Frames dropped by the drop_oldest slow-consumer policy");
+      "Frames dropped by the drop_oldest slow-consumer policy (a dropped "
+      "chunk counts each of its tuple frames)");
   m.slow_disconnects = registry->GetCounter(
       "icewafl_server_slow_disconnects_total", labels,
       "Subscribers disconnected by the disconnect slow-consumer policy");
   m.send_latency = registry->GetHistogram(
       "icewafl_server_send_latency_seconds", labels,
       ExponentialBounds(1e-6, 10.0, 4.0),
-      "Per-session latency from frame enqueue to socket write");
+      "Per-session wait of a queued item (a chunk of tuple frames or one "
+      "batch/control frame) from enqueue until the reactor dequeues it "
+      "for writing");
   m.plan_version = registry->GetGauge(
       "icewafl_server_plan_version", labels,
       "Version of the session's current published plan snapshot");

@@ -44,8 +44,9 @@ struct SessionMetrics {
   Counter* batches_sent = nullptr;      ///< batch frames enqueued (v2 cap)
   Counter* slow_drops = nullptr;        ///< frames dropped (drop_oldest)
   Counter* slow_disconnects = nullptr;  ///< clients cut (disconnect)
-  /// Seconds between a frame entering a subscriber's queue and its
-  /// bytes being handed to the socket.
+  /// Seconds a queued item (a chunk of tuple frames, or one batch or
+  /// control frame) waits between entering a subscriber's queue and the
+  /// reactor dequeuing it for writing; observed once per item.
   Histogram* send_latency = nullptr;
   /// Version of the session's current published PlanSnapshot (0 while
   /// the session serves no plan).

@@ -353,6 +353,14 @@ class CleaningSink : public Sink {
   Status Write(Tuple&& tuple) override {
     return op_.Process(std::move(tuple), &emitter_);
   }
+  /// Cleans the whole batch, then forwards the survivors as one batch.
+  Status WriteBatch(TupleVector* batch) override {
+    cleaned_.clear();
+    VectorEmitter collect(&cleaned_);
+    ICEWAFL_RETURN_NOT_OK(op_.ProcessBatch(batch, &collect));
+    if (cleaned_.empty()) return Status::OK();
+    return emitter_.sink()->WriteBatch(&cleaned_);
+  }
   Status Flush() override {
     ICEWAFL_RETURN_NOT_OK(op_.Finish(&emitter_));
     return emitter_.sink()->Flush();
@@ -371,6 +379,7 @@ class CleaningSink : public Sink {
 
   clean::CleanerOperator op_;
   SinkEmitter emitter_;
+  TupleVector cleaned_;
 };
 
 }  // namespace

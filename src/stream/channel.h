@@ -22,10 +22,11 @@ struct ChannelStats {
   uint64_t blocked_pops = 0;
   /// Rejected TryPush calls, by reason. These are what reconcile the
   /// server's slow-consumer metrics (drops, disconnects) against the
-  /// channel layer: every dropped frame starts as a kFull TryPush.
+  /// channel layer: every dropped item starts as a kFull TryPush.
   uint64_t try_push_full = 0;
   uint64_t try_push_closed = 0;
-  /// Largest number of items queued at once (peak buffering).
+  /// Largest weight queued at once (peak buffering; items when every
+  /// push has the default weight 1).
   uint64_t peak_queued = 0;
 
   /// \brief Accumulates `other` (peak takes the max; everything else sums).
@@ -48,6 +49,12 @@ struct ChannelStats {
 /// an unbounded stream. Consumers `Pop` until the channel is both closed
 /// and drained.
 ///
+/// Items may carry a weight (default 1): the capacity bounds the summed
+/// weight of the queued items, so one item standing for k units (the
+/// server's chunk of k tuple frames) occupies k units of capacity. An
+/// item heavier than the capacity is only admitted into an empty
+/// channel, so it can never wait forever.
+///
 /// End-of-stream and abort are modelled explicitly:
 ///  - `Close()`   — graceful: no further pushes succeed, queued items
 ///                  remain poppable (normal end of a bounded stream);
@@ -63,29 +70,34 @@ struct ChannelStats {
 template <typename T>
 class BoundedChannel {
  public:
-  /// \param capacity maximum queued items (>= 1).
+  /// \param capacity maximum queued weight (>= 1).
   explicit BoundedChannel(size_t capacity)
       : capacity_(capacity < 1 ? 1 : capacity) {}
 
   BoundedChannel(const BoundedChannel&) = delete;
   BoundedChannel& operator=(const BoundedChannel&) = delete;
 
-  /// \brief Enqueues `item`, blocking while the channel is full.
+  /// \brief Enqueues `item` of `weight` units, blocking while it does
+  /// not fit. When `was_empty` is given it is set, under the channel
+  /// lock, to whether the channel was empty before this push — a
+  /// consumer polled elsewhere needs a wake-up exactly then.
   /// \return false iff the channel was closed (the item is dropped).
-  bool Push(T item) EXCLUDES(mu_) {
+  bool Push(T item, size_t weight = 1, bool* was_empty = nullptr)
+      EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     bool waited = false;
-    while (queue_.size() >= capacity_ && !closed_) {
+    if (!FitsLocked(weight) && !closed_) {
       waited = true;
-      not_full_.Wait(mu_);
+      if (weight > 1) ++heavy_waiters_;
+      while (!FitsLocked(weight) && !closed_) not_full_.Wait(mu_);
+      if (weight > 1) --heavy_waiters_;
     }
     if (closed_) return false;
-    queue_.push_back(std::move(item));
-    ++stats_.pushes;
+    if (was_empty != nullptr) *was_empty = queue_.empty();
+    EnqueueLocked(std::move(item), weight);
     // A wait only counts as backpressure when the push actually lands;
     // waits cut short by Close()/Poison() are aborts, not backpressure.
     if (waited) ++stats_.blocked_pushes;
-    if (queue_.size() > stats_.peak_queued) stats_.peak_queued = queue_.size();
     lock.Unlock();
     not_empty_.NotifyOne();
     return true;
@@ -97,36 +109,36 @@ class BoundedChannel {
   /// \brief Non-blocking enqueue; never waits. Used by the serving
   /// fan-out to implement the drop_oldest / disconnect slow-consumer
   /// policies, where a full queue is a decision point, not a wait.
-  PushResult TryPush(T item) EXCLUDES(mu_) {
+  /// `weight` and `was_empty` as in Push.
+  PushResult TryPush(T item, size_t weight = 1, bool* was_empty = nullptr)
+      EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     if (closed_) {
       ++stats_.try_push_closed;
       return PushResult::kClosed;
     }
-    if (queue_.size() >= capacity_) {
+    if (!FitsLocked(weight)) {
       ++stats_.try_push_full;
       return PushResult::kFull;
     }
-    queue_.push_back(std::move(item));
-    ++stats_.pushes;
-    if (queue_.size() > stats_.peak_queued) stats_.peak_queued = queue_.size();
+    if (was_empty != nullptr) *was_empty = queue_.empty();
+    EnqueueLocked(std::move(item), weight);
     lock.Unlock();
     not_empty_.NotifyOne();
     return PushResult::kOk;
   }
 
-  /// \brief Non-blocking dequeue; never waits.
+  /// \brief Non-blocking dequeue; never waits. `weight`, when given,
+  /// receives the popped item's weight.
   /// \return false when the channel is currently empty (whether open or
   /// closed — combine with closed() to distinguish end of stream, which
   /// is race-free for a channel's single consumer).
-  bool TryPop(T* out) EXCLUDES(mu_) {
+  bool TryPop(T* out, size_t* weight = nullptr) EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     if (queue_.empty()) return false;
-    *out = std::move(queue_.front());
-    queue_.pop_front();
-    ++stats_.pops;
+    const bool broadcast = DequeueLocked(out, weight);
     lock.Unlock();
-    not_full_.NotifyOne();
+    NotifyNotFull(broadcast);
     return true;
   }
 
@@ -140,11 +152,9 @@ class BoundedChannel {
       while (queue_.empty() && !closed_) not_empty_.Wait(mu_);
     }
     if (queue_.empty()) return false;
-    *out = std::move(queue_.front());
-    queue_.pop_front();
-    ++stats_.pops;
+    const bool broadcast = DequeueLocked(out, nullptr);
     lock.Unlock();
-    not_full_.NotifyOne();
+    NotifyNotFull(broadcast);
     return true;
   }
 
@@ -164,6 +174,7 @@ class BoundedChannel {
       MutexLock lock(&mu_);
       closed_ = true;
       queue_.clear();
+      weight_ = 0;
     }
     not_full_.NotifyAll();
     not_empty_.NotifyAll();
@@ -174,9 +185,16 @@ class BoundedChannel {
     return closed_;
   }
 
+  /// \brief Queued items (not weight).
   size_t size() const EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return queue_.size();
+  }
+
+  /// \brief Summed weight of the queued items.
+  size_t weight() const EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return weight_;
   }
 
   size_t capacity() const { return capacity_; }
@@ -187,11 +205,54 @@ class BoundedChannel {
   }
 
  private:
+  struct Slot {
+    T item;
+    size_t weight;
+  };
+
+  bool FitsLocked(size_t weight) const REQUIRES(mu_) {
+    return queue_.empty() || weight_ + weight <= capacity_;
+  }
+
+  void EnqueueLocked(T item, size_t weight) REQUIRES(mu_) {
+    queue_.push_back(Slot{std::move(item), weight});
+    weight_ += weight;
+    ++stats_.pushes;
+    if (weight_ > stats_.peak_queued) stats_.peak_queued = weight_;
+  }
+
+  /// Pops the front item; returns whether producers need a broadcast
+  /// wake-up (see NotifyNotFull).
+  bool DequeueLocked(T* out, size_t* weight) REQUIRES(mu_) {
+    Slot& front = queue_.front();
+    *out = std::move(front.item);
+    if (weight != nullptr) *weight = front.weight;
+    weight_ -= front.weight;
+    queue_.pop_front();
+    ++stats_.pops;
+    return heavy_waiters_ > 0;
+  }
+
+  /// Wakes producers after a pop (lock released). A woken producer whose
+  /// heavy item still does not fit waits again and would swallow a
+  /// single notification meant for a lighter one, so heavy waiters get
+  /// a broadcast; unit-weight traffic keeps the single wake-up.
+  void NotifyNotFull(bool broadcast) {
+    if (broadcast) {
+      not_full_.NotifyAll();
+    } else {
+      not_full_.NotifyOne();
+    }
+  }
+
   const size_t capacity_;
   mutable Mutex mu_{kLockRankChannel};
   CondVar not_full_;
   CondVar not_empty_;
-  std::deque<T> queue_ GUARDED_BY(mu_);
+  std::deque<Slot> queue_ GUARDED_BY(mu_);
+  size_t weight_ GUARDED_BY(mu_) = 0;
+  /// Producers blocked in Push with a weight above 1.
+  size_t heavy_waiters_ GUARDED_BY(mu_) = 0;
   bool closed_ GUARDED_BY(mu_) = false;
   ChannelStats stats_ GUARDED_BY(mu_);
 };

@@ -19,6 +19,21 @@ class Emitter {
   virtual Status Emit(Tuple tuple) = 0;
 };
 
+/// \brief Collects emitted tuples into a vector (the batched analogue
+/// of a downstream operator).
+class VectorEmitter : public Emitter {
+ public:
+  explicit VectorEmitter(TupleVector* out) : out_(out) {}
+
+  Status Emit(Tuple tuple) override {
+    out_->push_back(std::move(tuple));
+    return Status::OK();
+  }
+
+ private:
+  TupleVector* out_;
+};
+
 /// \brief A tuple-at-a-time dataflow operator.
 ///
 /// Operators may emit zero, one, or many tuples per input (filter / map /

@@ -12,21 +12,6 @@ namespace icewafl {
 
 namespace {
 
-/// Collects emitted tuples into a vector (the batched analogue of the
-/// per-tuple ChainEmitter).
-class VectorEmitter : public Emitter {
- public:
-  explicit VectorEmitter(TupleVector* out) : out_(out) {}
-
-  Status Emit(Tuple tuple) override {
-    out_->push_back(std::move(tuple));
-    return Status::OK();
-  }
-
- private:
-  TupleVector* out_;
-};
-
 /// Drives `*batch` through ops[first..], leaving the chain output in
 /// `*result` (appended). The batch is consumed.
 Status RunBatchThroughOps(const std::vector<Operator*>& ops, size_t first,
@@ -347,19 +332,16 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
             obs_handles.tuples_in->Increment(batch.size());
             obs_handles.batches->Increment();
           }
-          const uint64_t written_before = sink_stage.tuples_out;
-          for (Tuple& t : batch) {
-            Status st = sink->Write(std::move(t));
-            if (!st.ok()) {
-              sink_status = st;
-              poison_all();
-              break;
+          const size_t n = batch.size();
+          Status st = sink->WriteBatch(&batch);
+          if (!st.ok()) {
+            sink_status = st;
+            poison_all();
+          } else {
+            sink_stage.tuples_out += n;
+            if (obs_handles.tuples_out != nullptr) {
+              obs_handles.tuples_out->Increment(n);
             }
-            ++sink_stage.tuples_out;
-          }
-          if (obs_handles.tuples_out != nullptr) {
-            obs_handles.tuples_out->Increment(sink_stage.tuples_out -
-                                              written_before);
           }
           batch.clear();
         }

@@ -271,10 +271,14 @@ TEST(PlanSwap, BackToBackSwapsCollapseToNewestVersion) {
   WaitForState(server, "live", "running");
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   // Two publications between cutover probes: the runner adopts the
-  // newest and the intermediate version never produces a row.
-  ASSERT_TRUE(server.SwapPlan("live", ScenarioPlan("software_update", 42)).ok());
-  ASSERT_TRUE(
-      server.SwapPlan("live", ScenarioPlan("software_update", 42, 0.0)).ok());
+  // newest and the intermediate version never produces a row. Both
+  // snapshots are built first, so the two swaps really are back to back
+  // (building a plan between them let a probe land in the gap on slow
+  // sanitizer builds).
+  std::shared_ptr<PlanSnapshot> v2 = ScenarioPlan("software_update", 42);
+  std::shared_ptr<PlanSnapshot> v3 = ScenarioPlan("software_update", 42, 0.0);
+  ASSERT_TRUE(server.SwapPlan("live", std::move(v2)).ok());
+  ASSERT_TRUE(server.SwapPlan("live", std::move(v3)).ok());
 
   TupleVector received;
   Tuple tuple;

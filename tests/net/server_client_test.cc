@@ -1,9 +1,13 @@
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,6 +21,7 @@
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "scenarios/scenarios.h"
+#include "stream/runtime.h"
 #include "stream/sink.h"
 #include "stream/source.h"
 
@@ -363,6 +368,16 @@ TEST(PollutionServer, EmptyIdResolvesOnlyWhenOneSessionExists) {
   EXPECT_TRUE(b.status.ok()) << b.status.ToString();
 }
 
+/// Bounds every blocking recv on `fd`, so a server that never answers
+/// fails the test instead of hanging it.
+void SetRecvTimeout(int fd) {
+  timeval timeout{};
+  timeout.tv_sec = 30;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+}
+
 /// Raw-socket hello: sends `frame` and returns the server's first
 /// answer frame (type + payload).
 void RawHello(uint16_t port, const std::string& frame, uint8_t* type,
@@ -426,6 +441,53 @@ TEST(PollutionServer, NonSubscribeHelloGetsErrorFrame) {
   EXPECT_EQ(type, kFrameError);
   EXPECT_NE(payload.find("expected a Subscribe hello frame"),
             std::string::npos)
+      << payload;
+  server.RequestStop();
+  ASSERT_TRUE(server.Wait().ok());
+}
+
+TEST(PollutionServer, OversizedHelloLengthIsRejectedOnThePrefix) {
+  auto scenario = Resolve("random_temporal", 42);
+  ASSERT_TRUE(scenario.ok());
+  PollutionServer server;
+  ASSERT_TRUE(server
+                  .AddSession("alpha", scenario.ValueOrDie()->schema,
+                              MakeScenarioSession(scenario.ValueOrDie(),
+                                                  42, 1),
+                              {})
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  // A Subscribe header claiming a 1 MiB payload, then a trickle of
+  // bytes: the server must answer from the prefix alone instead of
+  // buffering toward the claimed length.
+  std::string hello;
+  hello.push_back(static_cast<char>(kFrameSubscribe));
+  AppendVarint(1u << 20, &hello);
+  hello.append(16, 'x');
+  auto fd = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  SetRecvTimeout(fd.ValueOrDie().get());
+  ASSERT_EQ(::send(fd.ValueOrDie().get(), hello.data(), hello.size(),
+                   MSG_NOSIGNAL),
+            static_cast<ssize_t>(hello.size()));
+  FrameDecoder decoder;
+  char buf[4096];
+  uint8_t type = 0;
+  std::string payload;
+  bool closed = false;
+  while (!closed) {
+    const ssize_t n = ::recv(fd.ValueOrDie().get(), buf, sizeof(buf), 0);
+    ASSERT_GE(n, 0) << "recv failed: " << std::strerror(errno);
+    if (n == 0) closed = true;
+    decoder.Feed(buf, static_cast<size_t>(n));
+  }
+  auto have = decoder.Next(&type, &payload);
+  ASSERT_TRUE(have.ok()) << have.status().ToString();
+  ASSERT_TRUE(have.ValueOrDie()) << "server closed without an Error frame";
+  EXPECT_EQ(type, kFrameError);
+  EXPECT_NE(payload.find("bad subscribe frame"), std::string::npos)
+      << payload;
+  EXPECT_NE(payload.find("exceeds limit of 1024"), std::string::npos)
       << payload;
   server.RequestStop();
   ASSERT_TRUE(server.Wait().ok());
@@ -746,6 +808,308 @@ TEST(PollutionServer, DisconnectPolicyCutsSlowConsumer) {
       prom.find("icewafl_server_slow_disconnects_total{session=\"fat\"} 1"),
       std::string::npos)
       << prom;
+}
+
+// ---------------------------------------------------------------------
+// Runtime-driven fan-out: sessions that stream through PipelineRuntime
+// reach the fan-out once per runtime batch (Sink::WriteBatch), so tuple
+// frames travel as chunks of up to queue_capacity frames. A small queue
+// makes every runtime batch span several chunks.
+// ---------------------------------------------------------------------
+
+constexpr size_t kSmallQueue = 8;
+
+TEST(PollutionServer, RuntimeBatchesUnderBlockMatchOfflineRun) {
+  const uint64_t seed = 42;
+  auto scenario = Resolve("random_temporal", seed);
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  const std::string offline = OfflineCsv(scenario.ValueOrDie(), seed, 2);
+  obs::MetricRegistry registry;
+  ServerOptions options;
+  options.queue_capacity = kSmallQueue;
+  options.slow_consumer = SlowConsumerPolicy::kBlock;
+  options.metrics = &registry;
+  PollutionServer server(options);
+  SessionOptions session;
+  session.min_subscribers = 3;
+  session.max_runs = 1;
+  ASSERT_TRUE(server
+                  .AddSession("wear", scenario.ValueOrDie()->schema,
+                              MakeScenarioSession(scenario.ValueOrDie(),
+                                                  seed, 2),
+                              session)
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  // Two tuple subscribers share each chunk; a batch subscriber rides
+  // the same run.
+  std::vector<TailResult> tuple_tails(2);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < tuple_tails.size(); ++i) {
+    threads.emplace_back(
+        [&, i] { tuple_tails[i] = TailAll(server.port(), "wear"); });
+  }
+  std::string batch_csv;
+  threads.emplace_back([&] {
+    auto client = StreamClient::Connect("127.0.0.1", server.port(), "wear",
+                                        kCapBatchFrames);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    TupleVector tuples;
+    Tuple tuple;
+    while (true) {
+      auto next = client.ValueOrDie()->Next(&tuple);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      if (!next.ValueOrDie()) break;
+      tuples.push_back(std::move(tuple));
+    }
+    batch_csv = ToCsvString(client.ValueOrDie()->schema(), tuples);
+  });
+  for (std::thread& t : threads) t.join();
+  ASSERT_TRUE(server.Wait().ok());
+  for (const TailResult& r : tuple_tails) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.csv, offline);
+  }
+  EXPECT_EQ(batch_csv, offline);
+  // The queue bound is exact in frames, and the chunks did fill it.
+  const ChannelStats stats = server.frame_queue_stats();
+  EXPECT_LE(stats.peak_queued, kSmallQueue);
+  EXPECT_EQ(stats.try_push_full, 0u);
+  const uint64_t rows = tuple_tails[0].received;
+  EXPECT_EQ(registry.GetCounter("icewafl_server_tuples_sent_total",
+                                {{"session", "wear"}})
+                ->value(),
+            3 * rows);
+}
+
+/// A subscriber on a raw socket whose receive buffer is shrunk before
+/// connecting, so the kernel cannot absorb the stream: the server's
+/// queue policy and partial socket writes are what get exercised.
+class RawSubscriber {
+ public:
+  static Result<RawSubscriber> Connect(uint16_t port,
+                                       const std::string& session,
+                                       int rcvbuf) {
+    UniqueFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    if (!fd.valid()) return Status::IOError("socket failed");
+    timeval timeout{};
+    timeout.tv_sec = 30;  // a wedged server fails the test, not hangs it
+    if (::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                     sizeof(rcvbuf)) != 0 ||
+        ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                     sizeof(timeout)) != 0) {
+      return Status::IOError("setsockopt failed");
+    }
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) != 0) {
+      return Status::IOError("connect failed");
+    }
+    const std::string hello = EncodeSubscribeFrame(kWireVersion, session);
+    if (::send(fd.get(), hello.data(), hello.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(hello.size())) {
+      return Status::IOError("hello send failed");
+    }
+    RawSubscriber sub;
+    sub.fd_ = std::move(fd);
+    return sub;
+  }
+
+  /// Reads until the server closes. `pause` sleeps after every read of
+  /// at most `read_size` bytes (a slow reader). Tuple frames are kept
+  /// re-framed in `tuple_bytes`; an End frame sets `end_total`.
+  void ReadAll(size_t read_size, std::chrono::microseconds pause) {
+    FrameDecoder decoder;
+    std::vector<char> buf(read_size);
+    while (true) {
+      const ssize_t n = ::recv(fd_.get(), buf.data(), buf.size(), 0);
+      if (n <= 0) {
+        clean_close = n == 0;
+        return;
+      }
+      decoder.Feed(buf.data(), static_cast<size_t>(n));
+      uint8_t type = 0;
+      std::string payload;
+      while (true) {
+        auto next = decoder.Next(&type, &payload);
+        ASSERT_TRUE(next.ok()) << next.status().ToString();
+        if (!next.ValueOrDie()) break;
+        if (type == kFrameTuple) {
+          AppendFrame(type, payload, &tuple_bytes);
+          ++tuples;
+        } else if (type == kFrameEnd) {
+          auto total = DecodeEndPayload(payload);
+          ASSERT_TRUE(total.ok());
+          end_total = total.ValueOrDie();
+          saw_end = true;
+        } else if (type == kFrameError) {
+          error = payload;
+        }
+      }
+      if (pause.count() > 0) std::this_thread::sleep_for(pause);
+    }
+  }
+
+  std::string tuple_bytes;
+  uint64_t tuples = 0;
+  bool saw_end = false;
+  uint64_t end_total = 0;
+  std::string error;
+  bool clean_close = false;
+
+ private:
+  UniqueFd fd_;
+};
+
+/// `count` rows of ~1 KiB on a (t, blob) schema.
+TupleVector MakeBulkRows(const SchemaPtr& schema, int count) {
+  TupleVector rows;
+  for (int i = 0; i < count; ++i) {
+    std::string blob(1024, static_cast<char>('a' + i % 26));
+    blob += std::to_string(i);
+    Tuple tuple(schema, {Value(static_cast<int64_t>(i)), Value(blob)});
+    tuple.set_id(static_cast<TupleId>(i));
+    tuple.set_event_time(i);
+    tuple.set_arrival_time(i);
+    rows.push_back(std::move(tuple));
+  }
+  return rows;
+}
+
+/// Streams `rows` through a PipelineRuntime with an empty operator
+/// chain, so the fan-out sees runtime batches via WriteBatch.
+Status RunRowsThroughRuntime(const SchemaPtr& schema, TupleVector rows,
+                             Sink* sink) {
+  VectorSource source(schema, std::move(rows));
+  PipelineRuntime runtime;
+  return runtime.Run(
+      &source, [](int) { return OperatorChain{}; }, sink);
+}
+
+PollutionServer::SessionFn MakeRuntimeSession(
+    SchemaPtr schema, std::shared_ptr<const TupleVector> rows) {
+  return [schema, rows](const PlanContext&, Sink* sink) {
+    return RunRowsThroughRuntime(schema, *rows, sink);
+  };
+}
+
+/// The tuple-frame bytes the offline run of `rows` puts on the wire.
+std::string OfflineTupleBytes(const SchemaPtr& schema, const TupleVector& rows) {
+  VectorSink sink;
+  EXPECT_TRUE(RunRowsThroughRuntime(schema, rows, &sink).ok());
+  std::string bytes;
+  for (const Tuple& t : sink.tuples()) AppendTupleFrame(t, &bytes);
+  return bytes;
+}
+
+constexpr int kBulkRows = 3000;  // ~3 MiB, far past a tiny socket buffer
+constexpr int kTinyRcvbuf = 4096;
+
+TEST(PollutionServer, SlowReaderForcesPartialWritesAndStaysIdentical) {
+  SchemaPtr schema = FatSchema();
+  auto rows = std::make_shared<const TupleVector>(
+      MakeBulkRows(schema, kBulkRows));
+  ServerOptions options;
+  options.queue_capacity = kSmallQueue;
+  options.slow_consumer = SlowConsumerPolicy::kBlock;
+  PollutionServer server(options);
+  ASSERT_TRUE(server
+                  .AddSession("bulk", schema, MakeRuntimeSession(schema, rows),
+                              {.max_runs = 1})
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto sub = RawSubscriber::Connect(server.port(), "bulk", kTinyRcvbuf);
+  ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+  // Reads of 1000 bytes, never aligned to frames or chunks, with a pause
+  // after each: sendmsg keeps hitting a full socket mid-chunk.
+  sub.ValueOrDie().ReadAll(1000, std::chrono::microseconds(20));
+  ASSERT_TRUE(server.Wait().ok());
+  const RawSubscriber& got = sub.ValueOrDie();
+  EXPECT_TRUE(got.error.empty()) << got.error;
+  ASSERT_TRUE(got.saw_end);
+  EXPECT_EQ(got.end_total, static_cast<uint64_t>(kBulkRows));
+  EXPECT_EQ(got.tuples, static_cast<uint64_t>(kBulkRows));
+  EXPECT_TRUE(got.tuple_bytes == OfflineTupleBytes(schema, *rows))
+      << "served tuple frames differ from the offline run";
+  EXPECT_LE(server.frame_queue_stats().peak_queued, kSmallQueue);
+}
+
+TEST(PollutionServer, RuntimeBatchesUnderDropOldestCountDroppedFrames) {
+  SchemaPtr schema = FatSchema();
+  auto rows = std::make_shared<const TupleVector>(
+      MakeBulkRows(schema, kBulkRows));
+  obs::MetricRegistry registry;
+  ServerOptions options;
+  options.queue_capacity = kSmallQueue;
+  options.slow_consumer = SlowConsumerPolicy::kDropOldest;
+  options.metrics = &registry;
+  PollutionServer server(options);
+  ASSERT_TRUE(server
+                  .AddSession("bulk", schema, MakeRuntimeSession(schema, rows),
+                              {.max_runs = 1})
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto sub = RawSubscriber::Connect(server.port(), "bulk", kTinyRcvbuf);
+  ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+  // Read nothing until the run is over: the pipeline must not stall.
+  WaitForRuns(server, 1);
+  sub.ValueOrDie().ReadAll(64 * 1024, std::chrono::microseconds(0));
+  ASSERT_TRUE(server.Wait().ok());
+  const RawSubscriber& got = sub.ValueOrDie();
+  ASSERT_TRUE(got.saw_end);
+  EXPECT_EQ(got.end_total, static_cast<uint64_t>(kBulkRows));
+  EXPECT_LT(got.tuples, static_cast<uint64_t>(kBulkRows));
+  // Drops are whole chunks counted in frames: every produced frame was
+  // either delivered or counted as dropped.
+  const uint64_t slow_drops =
+      registry.GetCounter("icewafl_server_slow_drops_total",
+                          {{"session", "bulk"}})
+          ->value();
+  EXPECT_GT(slow_drops, 0u);
+  EXPECT_EQ(got.tuples + slow_drops, static_cast<uint64_t>(kBulkRows));
+  // Reconciliation with the channel layer: each drop began as a kFull
+  // TryPush that then discarded one queued item of at most
+  // queue_capacity frames.
+  const uint64_t try_push_full = server.frame_queue_stats().try_push_full;
+  EXPECT_GT(try_push_full, 0u);
+  EXPECT_GE(try_push_full * kSmallQueue, slow_drops);
+  EXPECT_LE(server.frame_queue_stats().peak_queued, kSmallQueue);
+}
+
+TEST(PollutionServer, RuntimeBatchesUnderDisconnectCutTheSlowSubscriber) {
+  SchemaPtr schema = FatSchema();
+  auto rows = std::make_shared<const TupleVector>(
+      MakeBulkRows(schema, kBulkRows));
+  obs::MetricRegistry registry;
+  ServerOptions options;
+  options.queue_capacity = kSmallQueue;
+  options.slow_consumer = SlowConsumerPolicy::kDisconnect;
+  options.metrics = &registry;
+  PollutionServer server(options);
+  ASSERT_TRUE(server
+                  .AddSession("bulk", schema, MakeRuntimeSession(schema, rows),
+                              {.max_runs = 1})
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto sub = RawSubscriber::Connect(server.port(), "bulk", kTinyRcvbuf);
+  ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+  WaitForRuns(server, 1);
+  sub.ValueOrDie().ReadAll(64 * 1024, std::chrono::microseconds(0));
+  ASSERT_TRUE(server.Wait().ok());
+  const RawSubscriber& got = sub.ValueOrDie();
+  // Cut mid-stream: no End frame, and only a prefix of the stream.
+  EXPECT_FALSE(got.saw_end);
+  EXPECT_LT(got.tuples, static_cast<uint64_t>(kBulkRows));
+  const std::string offline = OfflineTupleBytes(schema, *rows);
+  EXPECT_TRUE(offline.compare(0, got.tuple_bytes.size(), got.tuple_bytes) ==
+              0)
+      << "the delivered prefix differs from the offline run";
+  EXPECT_EQ(registry.GetCounter("icewafl_server_slow_disconnects_total",
+                                {{"session", "bulk"}})
+                ->value(),
+            1u);
 }
 
 // ---------------------------------------------------------------------

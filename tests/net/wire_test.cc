@@ -299,6 +299,229 @@ TEST(WireProperty, FiveHundredSeedRoundTrip) {
 }
 
 // ---------------------------------------------------------------------
+// Single-pass tuple framing: AppendTupleFrame must be byte-identical to
+// the two-step encoder it replaced (build the payload string, then copy
+// it behind a type byte and length prefix), kept here as the oracle.
+// ---------------------------------------------------------------------
+
+void OracleAppendValue(const Value& v, std::string* out) {
+  out->push_back(static_cast<char>(v.type()));
+  switch (v.type()) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kBool:
+      out->push_back(v.AsBool() ? 1 : 0);
+      break;
+    case ValueType::kInt64:
+      AppendFixed64(static_cast<uint64_t>(v.AsInt64()), out);
+      break;
+    case ValueType::kDouble: {
+      uint64_t bits = 0;
+      const double d = v.AsDouble();
+      std::memcpy(&bits, &d, sizeof(bits));
+      AppendFixed64(bits, out);
+      break;
+    }
+    case ValueType::kString:
+      AppendVarint(v.AsString().size(), out);
+      out->append(v.AsString());
+      break;
+  }
+}
+
+std::string OracleTuplePayload(const Tuple& tuple) {
+  std::string out;
+  AppendFixed64(tuple.id(), &out);
+  AppendFixed64(static_cast<uint64_t>(tuple.event_time()), &out);
+  AppendFixed64(static_cast<uint64_t>(tuple.arrival_time()), &out);
+  AppendVarint(ZigzagEncode(tuple.substream()), &out);
+  AppendVarint(tuple.num_values(), &out);
+  for (const Value& v : tuple.values()) OracleAppendValue(v, &out);
+  return out;
+}
+
+std::string OracleTupleFrame(const Tuple& tuple) {
+  std::string frame;
+  AppendFrame(kFrameTuple, OracleTuplePayload(tuple), &frame);
+  return frame;
+}
+
+/// Asserts every single-pass encoder agrees with the oracle on `tuple`
+/// and that the frame decodes back bit-exactly.
+void ExpectMatchesOracle(const Tuple& tuple, const SchemaPtr& schema) {
+  const std::string frame = OracleTupleFrame(tuple);
+  EXPECT_EQ(EncodeTupleFrame(tuple), frame);
+  EXPECT_EQ(EncodeTuplePayload(tuple), OracleTuplePayload(tuple));
+  std::string appended = "prefix";
+  AppendTupleFrame(tuple, &appended);
+  EXPECT_EQ(appended, "prefix" + frame);
+  FrameDecoder decoder;
+  decoder.Feed(frame.data(), frame.size());
+  uint8_t type = 0;
+  std::string payload;
+  auto next = decoder.Next(&type, &payload);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ASSERT_TRUE(next.ValueOrDie());
+  EXPECT_EQ(type, kFrameTuple);
+  auto decoded = DecodeTuplePayload(payload, schema);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectTuplesEqual(tuple, decoded.ValueOrDie());
+}
+
+TEST(WireTupleFrame, MatchesOracleOverFiveHundredSeeds) {
+  for (uint64_t seed = 1; seed <= 500; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    SchemaPtr schema = RandomSchema(&rng);
+    // Many frames appended to one buffer, as the server's fan-out builds
+    // a chunk, must equal the oracle frames back to back and split
+    // frame by frame on decode.
+    const int count = static_cast<int>(rng.UniformInt(1, 40));
+    std::vector<Tuple> tuples;
+    std::string chunk;
+    std::string expected;
+    for (int i = 0; i < count; ++i) {
+      tuples.push_back(RandomTuple(&rng, schema));
+      ExpectMatchesOracle(tuples.back(), schema);
+      AppendTupleFrame(tuples.back(), &chunk);
+      expected += OracleTupleFrame(tuples.back());
+    }
+    ASSERT_EQ(chunk, expected);
+    FrameDecoder decoder;
+    decoder.Feed(chunk.data(), chunk.size());
+    for (const Tuple& want : tuples) {
+      uint8_t type = 0;
+      std::string payload;
+      auto next = decoder.Next(&type, &payload);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      ASSERT_TRUE(next.ValueOrDie());
+      ASSERT_EQ(type, kFrameTuple);
+      auto got = DecodeTuplePayload(payload, schema);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectTuplesEqual(want, got.ValueOrDie());
+    }
+    EXPECT_EQ(decoder.buffered(), 0u);
+  }
+}
+
+TEST(WireTupleFrame, VarintLengthBoundaries) {
+  // Every string length from 0 to 300 crosses both the string-length
+  // varint (127 → 128: one to two bytes) and the frame's payload-length
+  // varint; the long ones reach three-byte varints.
+  auto schema = Schema::Make(
+      {{"t", ValueType::kInt64}, {"s", ValueType::kString}}, "t");
+  ASSERT_TRUE(schema.ok());
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (size_t n : {16383u, 16384u, 20000u}) lengths.push_back(n);
+  for (size_t n : lengths) {
+    SCOPED_TRACE("string length " + std::to_string(n));
+    Tuple tuple(schema.ValueOrDie(),
+                {Value(static_cast<int64_t>(n)), Value(std::string(n, 'q'))});
+    tuple.set_id(n);
+    ExpectMatchesOracle(tuple, schema.ValueOrDie());
+  }
+}
+
+TEST(WireTupleFrame, EdgeValuesMatchOracle) {
+  auto schema = Schema::Make({{"t", ValueType::kInt64},
+                              {"d", ValueType::kDouble},
+                              {"b", ValueType::kBool},
+                              {"s", ValueType::kString}},
+                             "t");
+  ASSERT_TRUE(schema.ok());
+  // NaNs with distinct payloads and signs must keep their exact bits.
+  std::vector<double> doubles = {
+      -0.0, 0.0, std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::signaling_NaN(),
+      std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min()};
+  uint64_t payload_nan_bits = 0x7FF800000000BEEFull;
+  double payload_nan = 0;
+  std::memcpy(&payload_nan, &payload_nan_bits, sizeof(payload_nan));
+  doubles.push_back(payload_nan);
+  const std::vector<int> substreams = {
+      kNoSubstream, -2, -64, -65, std::numeric_limits<int>::min(), 0, 63,
+      64, std::numeric_limits<int>::max()};
+  uint64_t id = 0;
+  for (double d : doubles) {
+    for (int substream : substreams) {
+      for (int variant = 0; variant < 4; ++variant) {
+        // variant 0: all values set; 1: nulls; 2: bool false and a
+        // divergent int in the double column; 3: int64 extremes.
+        std::vector<Value> values = {
+            Value(static_cast<int64_t>(id)), Value(d), Value(true),
+            Value(std::string("\0x\xff", 3))};
+        if (variant == 1) {
+          values[1] = Value::Null();
+          values[2] = Value::Null();
+          values[3] = Value::Null();
+        } else if (variant == 2) {
+          values[1] = Value(int64_t{-1});
+          values[2] = Value(false);
+        } else if (variant == 3) {
+          values[0] = Value(std::numeric_limits<int64_t>::min());
+          values[1] = Value(std::numeric_limits<int64_t>::max());
+        }
+        Tuple tuple(schema.ValueOrDie(), std::move(values));
+        tuple.set_id(id == 0 ? ~uint64_t{0} : id);
+        tuple.set_event_time(-static_cast<Timestamp>(id));
+        tuple.set_arrival_time(std::numeric_limits<Timestamp>::min());
+        tuple.set_substream(substream);
+        ++id;
+        ExpectMatchesOracle(tuple, schema.ValueOrDie());
+      }
+    }
+  }
+}
+
+TEST(WireFuzz, DecoderPayloadCapRejectsOnThePrefix) {
+  // A capped decoder (the server's handshake) rejects a length above its
+  // cap as soon as the length prefix is complete — no payload byte has
+  // to arrive, so none is buffered.
+  std::string frame;
+  frame.push_back(static_cast<char>(kFrameSubscribe));
+  AppendVarint(kMaxHelloPayload + 1, &frame);
+  FrameDecoder capped(kMaxHelloPayload);
+  capped.Feed(frame.data(), frame.size());
+  uint8_t type = 0;
+  std::string payload;
+  auto next = capped.Next(&type, &payload);
+  ASSERT_FALSE(next.ok());
+  EXPECT_NE(next.status().message().find("exceeds limit of 1024"),
+            std::string::npos)
+      << next.status().ToString();
+
+  // At the cap the decoder waits for the payload; uncapped decoders
+  // accept lengths far above it.
+  std::string at_cap;
+  at_cap.push_back(static_cast<char>(kFrameSubscribe));
+  AppendVarint(kMaxHelloPayload, &at_cap);
+  FrameDecoder at_limit(kMaxHelloPayload);
+  at_limit.Feed(at_cap.data(), at_cap.size());
+  auto wait = at_limit.Next(&type, &payload);
+  ASSERT_TRUE(wait.ok()) << wait.status().ToString();
+  EXPECT_FALSE(wait.ValueOrDie());
+  FrameDecoder uncapped;
+  uncapped.Feed(frame.data(), frame.size());
+  auto more = uncapped.Next(&type, &payload);
+  ASSERT_TRUE(more.ok()) << more.status().ToString();
+  EXPECT_FALSE(more.ValueOrDie());
+
+  // The largest valid Subscribe hello fits under the cap.
+  const std::string hello =
+      EncodeSubscribeFrame(~uint64_t{0}, std::string(kMaxSessionIdBytes, 's'),
+                           ~uint64_t{0});
+  EXPECT_LT(hello.size(), 300u);
+  FrameDecoder handshake(kMaxHelloPayload);
+  handshake.Feed(hello.data(), hello.size());
+  auto got = handshake.Next(&type, &payload);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got.ValueOrDie());
+}
+
+// ---------------------------------------------------------------------
 // Truncation: every proper prefix decodes to "need more", never error.
 // ---------------------------------------------------------------------
 

@@ -192,6 +192,118 @@ TEST(ChannelTest, StatsCountTraffic) {
   EXPECT_EQ(stats.blocked_pops, 0u);
 }
 
+// ---------------------------------------------------------------------
+// Weighted items: the capacity bounds summed weight (the server queues
+// a chunk of k tuple frames as one item of weight k).
+// ---------------------------------------------------------------------
+
+TEST(ChannelTest, WeightedPushBlocksAtCapacity) {
+  IntChannel ch(8);
+  bool was_empty = false;
+  EXPECT_TRUE(ch.Push(1, 5, &was_empty));
+  EXPECT_TRUE(was_empty);
+  EXPECT_TRUE(ch.Push(2, 3, &was_empty));
+  EXPECT_FALSE(was_empty);
+  EXPECT_EQ(ch.size(), 2u);
+  EXPECT_EQ(ch.weight(), 8u);
+
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(ch.Push(3, 4));  // 8 + 4 > 8: must wait
+    pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(pushed.load());
+
+  // Popping the weight-3 item would not make room; popping weight 5 does.
+  int v = 0;
+  size_t w = 0;
+  ASSERT_TRUE(ch.TryPop(&v, &w));
+  EXPECT_EQ(v, 1);
+  EXPECT_EQ(w, 5u);
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(ch.weight(), 7u);
+  EXPECT_GE(ch.stats().blocked_pushes, 1u);
+}
+
+TEST(ChannelTest, HeavyWaiterDoesNotStarveLightOne) {
+  // A heavy producer that still does not fit after a pop must not
+  // swallow the wake-up a light producer needs.
+  IntChannel ch(4);
+  EXPECT_TRUE(ch.Push(0, 1));
+  EXPECT_TRUE(ch.Push(0, 3));
+  std::atomic<int> landed{0};
+  std::thread heavy([&] {
+    if (ch.Push(1, 4)) landed.fetch_add(1);
+  });
+  std::thread light([&] {
+    if (ch.Push(2, 1)) landed.fetch_add(1);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(landed.load(), 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  int v = -1;
+  ASSERT_TRUE(ch.Pop(&v));  // frees 1: only the light item fits
+  while (landed.load() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(landed.load(), 1) << "the light producer missed its wake-up";
+  // Drain everything; the heavy item then lands in the empty channel.
+  while (landed.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    if (!ch.TryPop(&v)) std::this_thread::yield();
+  }
+  EXPECT_EQ(landed.load(), 2);
+  ch.Close();  // releases a producer left parked by a failure above
+  heavy.join();
+  light.join();
+}
+
+TEST(ChannelTest, PeakQueuedCountsWeight) {
+  IntChannel ch(16);
+  EXPECT_TRUE(ch.Push(1, 6));
+  EXPECT_EQ(ch.TryPush(2, 4), IntChannel::PushResult::kOk);
+  int v = 0;
+  ASSERT_TRUE(ch.Pop(&v));
+  EXPECT_TRUE(ch.Push(3));
+  const ChannelStats stats = ch.stats();
+  EXPECT_EQ(stats.peak_queued, 10u);  // 6 + 4, not 2 items
+  EXPECT_EQ(stats.pushes, 3u);
+  EXPECT_EQ(stats.pops, 1u);
+  EXPECT_EQ(ch.weight(), 5u);
+}
+
+TEST(ChannelTest, FullWeightedTryPushReturnsFull) {
+  IntChannel ch(8);
+  bool was_empty = false;
+  EXPECT_EQ(ch.TryPush(1, 6, &was_empty), IntChannel::PushResult::kOk);
+  EXPECT_TRUE(was_empty);
+  // 6 + 3 > 8 even though only one item is queued.
+  EXPECT_EQ(ch.TryPush(2, 3), IntChannel::PushResult::kFull);
+  EXPECT_EQ(ch.TryPush(3, 2, &was_empty), IntChannel::PushResult::kOk);
+  EXPECT_FALSE(was_empty);
+  EXPECT_EQ(ch.TryPush(4, 1), IntChannel::PushResult::kFull);
+  const ChannelStats stats = ch.stats();
+  EXPECT_EQ(stats.try_push_full, 2u);
+  EXPECT_EQ(stats.pushes, 2u);
+  // An item heavier than the capacity is admitted into an empty
+  // channel only, so it can never wait forever.
+  IntChannel small(2);
+  EXPECT_EQ(small.TryPush(1, 5), IntChannel::PushResult::kOk);
+  EXPECT_EQ(small.TryPush(2, 1), IntChannel::PushResult::kFull);
+}
+
+TEST(ChannelTest, PoisonResetsWeight) {
+  IntChannel ch(8);
+  EXPECT_TRUE(ch.Push(1, 8));
+  EXPECT_EQ(ch.weight(), 8u);
+  ch.Poison();
+  EXPECT_EQ(ch.weight(), 0u);
+  EXPECT_EQ(ch.size(), 0u);
+  EXPECT_EQ(ch.TryPush(2, 1), IntChannel::PushResult::kClosed);
+}
+
 TEST(ChannelTest, ManyProducersOneConsumer) {
   IntChannel ch(3);
   constexpr int kProducers = 4;

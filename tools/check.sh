@@ -42,6 +42,13 @@
 #                             # under an active tail, and require
 #                             # lint-rejected swaps to exit 1 with
 #                             # Diagnostics on stderr
+#   tools/check.sh e2e        # end-to-end serving smoke: bench_e2e's
+#                             # --self-test builds the benchmark and
+#                             # serves tiny rounds of every stock
+#                             # workload (plain and traced) through a
+#                             # real server to decoding clients; each
+#                             # must decode the offline digest and
+#                             # report every BENCHMARK.json metric
 #
 # The sanitizer presets compile with -Werror, so this script is also the
 # warning gate. (-Wmaybe-uninitialized is excluded there: with
@@ -604,6 +611,12 @@ EOF
   echo "=== admin: OK ==="
 }
 
+run_e2e() {
+  echo "=== e2e: bench_e2e self-test (every stock workload, served) ==="
+  python3 bench_e2e/run.py --self-test
+  echo "=== e2e: OK ==="
+}
+
 modes=("$@")
 if [ "${#modes[@]}" -eq 0 ]; then
   modes=(asan tsan)
@@ -619,8 +632,9 @@ for mode in "${modes[@]}"; do
     bench) run_bench ;;
     net) run_net ;;
     admin) run_admin ;;
+    e2e) run_e2e ;;
     *)
-      echo "unknown mode '${mode}' (expected asan, tsan, tidy, tsafety, lint, obs, bench, net, or admin)" >&2
+      echo "unknown mode '${mode}' (expected asan, tsan, tidy, tsafety, lint, obs, bench, net, admin, or e2e)" >&2
       exit 2
       ;;
   esac
