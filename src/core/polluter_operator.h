@@ -2,11 +2,9 @@
 #define ICEWAFL_CORE_POLLUTER_OPERATOR_H_
 
 #include <utility>
-#include <vector>
 
 #include "core/pipeline.h"
 #include "obs/metrics.h"
-#include "stream/batch.h"
 #include "stream/operator.h"
 
 namespace icewafl {
@@ -19,6 +17,10 @@ namespace icewafl {
 /// upstream has not done so, applies the pipeline, and forwards the
 /// result. Stream bounds for stream-relative profiles must be supplied
 /// up front since an operator cannot see the end of the stream.
+///
+/// Execution is tuple-wise, as in the paper's model (Section 2.1): a
+/// runtime batch is polluted one tuple at a time, in order, through
+/// Process (DESIGN.md §13 records why there is no columnar path).
 class PolluterOperator : public Operator {
  public:
   PolluterOperator(PollutionPipeline pipeline, uint64_t seed,
@@ -27,15 +29,14 @@ class PolluterOperator : public Operator {
       : pipeline_(std::move(pipeline)),
         stream_start_(stream_start),
         stream_end_(stream_end),
-        log_(log),
-        columnar_(pipeline_.SupportsColumnar()) {
+        log_(log) {
     pipeline_.Seed(seed);
   }
 
   /// \brief Attaches per-operator instrumentation. Live counters track
   /// tuples seen / tuples polluted; Finish() additionally publishes the
   /// per-error-function activation counts of the whole polluter tree.
-  /// When never called (or called with nullptr) the processing loops pay
+  /// When never called (or called with nullptr) the per-tuple step pays
   /// exactly one pointer-null check per tuple.
   void BindMetrics(obs::MetricRegistry* registry) {
     metrics_ = registry;
@@ -60,83 +61,26 @@ class PolluterOperator : public Operator {
     }
   }
 
+  /// \brief The one per-tuple step. The inherited ProcessBatch runs it
+  /// for every tuple of a runtime batch, so both entry points share the
+  /// same context setup and counter updates.
   Status Process(Tuple tuple, Emitter* out) override {
     ICEWAFL_RETURN_NOT_OK(Prepare(&tuple));
     PollutionContext ctx;
     ctx.stream_start = stream_start_;
     ctx.stream_end = stream_end_;
     ctx.tau = tuple.event_time();
+    const bool instrumented = tuples_seen_ != nullptr;
     const uint64_t applied_before =
-        tuples_seen_ != nullptr ? pipeline_.TotalAppliedCount() : 0;
+        instrumented ? pipeline_.TotalAppliedCount() : 0;
+    // Seen is counted before Apply so a failure can never leave
+    // polluted_total > tuples_total.
+    if (instrumented) tuples_seen_->Increment();
     ICEWAFL_RETURN_NOT_OK(pipeline_.Apply(&tuple, &ctx, log_));
-    if (tuples_seen_ != nullptr) {
-      tuples_seen_->Increment();
-      if (pipeline_.TotalAppliedCount() > applied_before) {
-        tuples_polluted_->Increment();
-      }
+    if (instrumented && pipeline_.TotalAppliedCount() > applied_before) {
+      tuples_polluted_->Increment();
     }
     return out->Emit(std::move(tuple));
-  }
-
-  /// \brief Batched fast path: the context (with its fixed stream
-  /// bounds) is set up once per batch instead of once per tuple, and the
-  /// pipeline is applied in a tight loop. When every polluter supports
-  /// columnar execution (and no pollution log is attached), the batch is
-  /// transposed to a columnar Batch and the pipeline runs over typed
-  /// column buffers instead of per-value variant dispatch (DESIGN.md
-  /// §13) — output is byte-identical either way.
-  Status ProcessBatch(TupleVector* batch, Emitter* out) override {
-    PollutionContext ctx;
-    ctx.stream_start = stream_start_;
-    ctx.stream_end = stream_end_;
-    const bool instrumented = tuples_seen_ != nullptr;
-    if (columnar_ && log_ == nullptr && !batch->empty()) {
-      for (Tuple& tuple : *batch) {
-        ICEWAFL_RETURN_NOT_OK(Prepare(&tuple));
-      }
-      // Mixed schemas or missing ones fall through to the tuple path.
-      Result<Batch> transposed = Batch::FromTuples(*batch);
-      if (transposed.ok()) {
-        Batch columnar = std::move(transposed).ValueOrDie();
-        ctx.severity = 1.0;
-        ctx.rng = nullptr;
-        polluted_.assign(columnar.rows(), 0);
-        // Seen is counted before Apply so a mid-batch failure can never
-        // leave polluted_total > tuples_total.
-        if (instrumented) tuples_seen_->Increment(columnar.rows());
-        ICEWAFL_RETURN_NOT_OK(
-            pipeline_.ApplyColumnar(&columnar, &ctx, polluted_.data()));
-        if (instrumented) {
-          uint64_t hit = 0;
-          for (uint8_t p : polluted_) hit += p;
-          if (hit > 0) tuples_polluted_->Increment(hit);
-        }
-        TupleVector result = columnar.ToTuples();
-        for (Tuple& tuple : result) {
-          ICEWAFL_RETURN_NOT_OK(out->Emit(std::move(tuple)));
-        }
-        batch->clear();
-        return Status::OK();
-      }
-    }
-    for (Tuple& tuple : *batch) {
-      ICEWAFL_RETURN_NOT_OK(Prepare(&tuple));
-      ctx.tau = tuple.event_time();
-      ctx.severity = 1.0;
-      ctx.rng = nullptr;
-      const uint64_t applied_before =
-          instrumented ? pipeline_.TotalAppliedCount() : 0;
-      // Seen is counted before Apply so a mid-batch failure can never
-      // leave polluted_total > tuples_total.
-      if (instrumented) tuples_seen_->Increment();
-      ICEWAFL_RETURN_NOT_OK(pipeline_.Apply(&tuple, &ctx, log_));
-      if (instrumented && pipeline_.TotalAppliedCount() > applied_before) {
-        tuples_polluted_->Increment();
-      }
-      ICEWAFL_RETURN_NOT_OK(out->Emit(std::move(tuple)));
-    }
-    batch->clear();
-    return Status::OK();
   }
 
   /// \brief End-of-stream hook: publishes the activation count of every
@@ -169,11 +113,6 @@ class PolluterOperator : public Operator {
   obs::MetricRegistry* metrics_ = nullptr;
   obs::Counter* tuples_seen_ = nullptr;
   obs::Counter* tuples_polluted_ = nullptr;
-  // Whether every polluter supports columnar execution (fixed at
-  // construction; the polluter set never changes afterwards).
-  const bool columnar_;
-  // Per-batch polluted-row scratch reused across ProcessBatch calls.
-  std::vector<uint8_t> polluted_;
 };
 
 }  // namespace icewafl

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
 
@@ -10,6 +12,8 @@
 #include "core/errors_value.h"
 #include "core/duplicating_operator.h"
 #include "core/keyed_polluter_operator.h"
+#include "data/wearable.h"
+#include "scenarios/scenarios.h"
 #include "stream/executor.h"
 
 namespace icewafl {
@@ -124,6 +128,80 @@ TEST(PolluterOperatorTest, UnboundMetricsProduceIdenticalOutput) {
     return nulls;
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+/// Same runtime type and, for doubles, the same bit pattern.
+bool BitEq(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.is_double()) {
+    return std::bit_cast<uint64_t>(a.AsDouble()) ==
+           std::bit_cast<uint64_t>(b.AsDouble());
+  }
+  return a == b;
+}
+
+// The runtime drives the operator through ProcessBatch; Process is the
+// per-tuple entry point. Both must run the same step, so the stock
+// random_temporal pipeline over the wearable stream gives bit-identical
+// tuples and equal counters whether it arrives in 256-row batches or one
+// tuple at a time.
+TEST(PolluterOperatorTest, ProcessBatchMatchesPerTupleProcess) {
+  const TupleVector stream = data::GenerateWearable().ValueOrDie();
+  const Timestamp start = stream.front().GetTimestamp().ValueOrDie();
+  const Timestamp end = stream.back().GetTimestamp().ValueOrDie();
+  struct Run {
+    TupleVector out;
+    uint64_t seen = 0;
+    uint64_t polluted = 0;
+  };
+  auto run = [&](bool batched) {
+    PolluterOperator op(scenarios::RandomTemporalErrorsPipeline(),
+                        /*seed=*/42, start, end);
+    obs::MetricRegistry registry;
+    op.BindMetrics(&registry);
+    Run r;
+    VectorEmitter emitter(&r.out);
+    if (batched) {
+      for (size_t i = 0; i < stream.size(); i += 256) {
+        const size_t stop = std::min(stream.size(), i + 256);
+        TupleVector batch(stream.begin() + static_cast<ptrdiff_t>(i),
+                          stream.begin() + static_cast<ptrdiff_t>(stop));
+        EXPECT_TRUE(op.ProcessBatch(&batch, &emitter).ok());
+        EXPECT_TRUE(batch.empty());
+      }
+    } else {
+      for (const Tuple& t : stream) EXPECT_TRUE(op.Process(t, &emitter).ok());
+    }
+    const obs::Labels labels = {{"pipeline", "random_temporal_errors"}};
+    r.seen =
+        registry.GetCounter("icewafl_polluter_tuples_total", labels)->value();
+    r.polluted =
+        registry.GetCounter("icewafl_polluter_polluted_total", labels)
+            ->value();
+    return r;
+  };
+  const Run batched = run(true);
+  const Run single = run(false);
+
+  ASSERT_EQ(batched.out.size(), stream.size());
+  ASSERT_EQ(single.out.size(), stream.size());
+  for (size_t r = 0; r < stream.size(); ++r) {
+    const Tuple& a = batched.out[r];
+    const Tuple& b = single.out[r];
+    ASSERT_EQ(a.id(), b.id()) << "row " << r;
+    ASSERT_EQ(a.event_time(), b.event_time()) << "row " << r;
+    ASSERT_EQ(a.arrival_time(), b.arrival_time()) << "row " << r;
+    ASSERT_EQ(a.num_values(), b.num_values()) << "row " << r;
+    for (size_t i = 0; i < a.num_values(); ++i) {
+      ASSERT_TRUE(BitEq(a.value(i), b.value(i)))
+          << "row " << r << " attribute " << i;
+    }
+  }
+  EXPECT_EQ(batched.seen, stream.size());
+  EXPECT_EQ(single.seen, stream.size());
+  EXPECT_EQ(batched.polluted, single.polluted);
+  EXPECT_GT(batched.polluted, 0u);
+  EXPECT_LT(batched.polluted, stream.size());
 }
 
 TEST(KeyedPolluterOperatorTest, FrozenValueStateIsPerKey) {

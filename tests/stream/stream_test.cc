@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "stream/executor.h"
-#include "stream/micro_batch.h"
 #include "stream/operator.h"
 #include "stream/sink.h"
 #include "stream/source.h"
@@ -233,42 +232,6 @@ TEST(ParallelExecutorTest, WorkerErrorsPropagate) {
       },
       &sink);
   EXPECT_EQ(st.code(), StatusCode::kIOError);
-}
-
-TEST(MicroBatchTest, BatchesHaveRequestedSize) {
-  SchemaPtr schema = TestSchema();
-  VectorSource source(schema, MakeTuples(schema, 10));
-  auto batches = ToMicroBatches(&source, 4);
-  ASSERT_TRUE(batches.ok());
-  const auto& b = batches.ValueOrDie();
-  ASSERT_EQ(b.size(), 3u);
-  EXPECT_EQ(b[0].size(), 4u);
-  EXPECT_EQ(b[1].size(), 4u);
-  EXPECT_EQ(b[2].size(), 2u);
-}
-
-TEST(MicroBatchTest, ZeroBatchSizeRejected) {
-  SchemaPtr schema = TestSchema();
-  VectorSource source(schema, MakeTuples(schema, 2));
-  EXPECT_EQ(ToMicroBatches(&source, 0).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(MicroBatchTest, MicroBatchSourceReplaysTupleWise) {
-  SchemaPtr schema = TestSchema();
-  VectorSource source(schema, MakeTuples(schema, 7));
-  auto batches = ToMicroBatches(&source, 3).ValueOrDie();
-  MicroBatchSource mb(schema, batches);
-  EXPECT_EQ(mb.num_batches(), 3u);
-  auto all = CollectAll(&mb);
-  ASSERT_TRUE(all.ok());
-  ASSERT_EQ(all.ValueOrDie().size(), 7u);
-  for (int i = 0; i < 7; ++i) {
-    EXPECT_EQ(all.ValueOrDie()[static_cast<size_t>(i)].id(),
-              static_cast<TupleId>(i));
-  }
-  ASSERT_TRUE(mb.Reset().ok());
-  EXPECT_EQ(CollectAll(&mb).ValueOrDie().size(), 7u);
 }
 
 }  // namespace
