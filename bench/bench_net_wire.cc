@@ -2,6 +2,9 @@
 // rates for the length-prefixed binary frame format that
 // `icewafl_cli serve` fans out, so serving overhead can be attributed
 // to codec vs. socket cost. Reported counters are tuples/s and bytes/s.
+// Tuple streams: the wearable stream (Arg 0) and one year of the
+// 18-column air-quality stream (Arg 1). Decoding goes through frame
+// views into one reused Tuple, as net::StreamClient does.
 
 #include <benchmark/benchmark.h>
 
@@ -11,8 +14,10 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "data/airquality.h"
 #include "data/wearable.h"
 #include "net/wire.h"
 #include "stream/batch.h"
@@ -31,8 +36,52 @@ const TupleVector& WearableStream() {
   return stream;
 }
 
+/// One year of hourly air-quality rows (18 columns, two string ones).
+const TupleVector& AirQualityStream() {
+  static const TupleVector stream = [] {
+    data::AirQualityOptions options;
+    options.hours = 24 * 365;
+    auto generated = data::GenerateAirQuality(options);
+    return std::move(generated).ValueOrDie();
+  }();
+  return stream;
+}
+
+/// Benchmark Arg 0 selects the wearable stream, 1 the air-quality one.
+const TupleVector& TupleStream(int64_t which) {
+  return which == 0 ? WearableStream() : AirQualityStream();
+}
+
+const char* TupleStreamName(int64_t which) {
+  return which == 0 ? "wearable" : "air_quality";
+}
+
+std::string EncodeTupleWire(const TupleVector& stream) {
+  std::string wire;
+  for (const Tuple& tuple : stream) net::AppendTupleFrame(tuple, &wire);
+  return wire;
+}
+
+/// Splits `wire` into frame views and decodes each Tuple frame into the
+/// one reused `*tuple`, as the client does; returns the frame count.
+Result<size_t> DecodeTupleWire(const std::string& wire, const SchemaPtr& schema,
+                               Tuple* tuple) {
+  net::FrameDecoder decoder;
+  decoder.Feed(wire.data(), wire.size());
+  uint8_t type = 0;
+  std::string_view payload;
+  size_t frames = 0;
+  while (true) {
+    ICEWAFL_ASSIGN_OR_RETURN(const bool have, decoder.Next(&type, &payload));
+    if (!have) return frames;
+    ICEWAFL_RETURN_NOT_OK(net::DecodeTuplePayload(payload, schema, tuple));
+    benchmark::DoNotOptimize(tuple->id());
+    ++frames;
+  }
+}
+
 void BM_EncodeTupleFrames(benchmark::State& state) {
-  const TupleVector& stream = WearableStream();
+  const TupleVector& stream = TupleStream(state.range(0));
   size_t bytes = 0;
   size_t tuples = 0;
   for (auto _ : state) {
@@ -47,53 +96,43 @@ void BM_EncodeTupleFrames(benchmark::State& state) {
       static_cast<double>(tuples), benchmark::Counter::kIsRate);
   state.counters["bytes/s"] = benchmark::Counter(
       static_cast<double>(bytes), benchmark::Counter::kIsRate);
+  state.SetLabel(TupleStreamName(state.range(0)));
 }
-BENCHMARK(BM_EncodeTupleFrames)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EncodeTupleFrames)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_DecodeTupleFrames(benchmark::State& state) {
-  const TupleVector& stream = WearableStream();
+  const TupleVector& stream = TupleStream(state.range(0));
   const SchemaPtr schema = stream.front().schema();
   // Pre-encode the whole stream once; the loop measures decode only.
-  std::string wire;
-  for (const Tuple& tuple : stream) wire += net::EncodeTupleFrame(tuple);
+  const std::string wire = EncodeTupleWire(stream);
   size_t tuples = 0;
+  Tuple decoded;
   for (auto _ : state) {
-    net::FrameDecoder decoder;
-    decoder.Feed(wire.data(), wire.size());
-    uint8_t type = 0;
-    std::string payload;
-    Tuple decoded;
-    while (true) {
-      auto next = decoder.Next(&type, &payload);
-      if (!next.ok() || !next.ValueOrDie()) break;
-      auto tuple = net::DecodeTuplePayload(payload, schema);
-      if (!tuple.ok()) {
-        state.SkipWithError(tuple.status().ToString().c_str());
-        return;
-      }
-      decoded = std::move(tuple).ValueOrDie();
-      benchmark::DoNotOptimize(decoded.id());
-      ++tuples;
+    Result<size_t> frames = DecodeTupleWire(wire, schema, &decoded);
+    if (!frames.ok()) {
+      state.SkipWithError(frames.status().ToString().c_str());
+      return;
     }
+    tuples += frames.ValueOrDie();
   }
   state.counters["tuples/s"] = benchmark::Counter(
       static_cast<double>(tuples), benchmark::Counter::kIsRate);
   state.SetBytesProcessed(static_cast<int64_t>(
       wire.size() * static_cast<size_t>(state.iterations())));
+  state.SetLabel(TupleStreamName(state.range(0)));
 }
-BENCHMARK(BM_DecodeTupleFrames)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DecodeTupleFrames)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_FrameDecoderChunkedFeed(benchmark::State& state) {
   // Decode under adversarial fragmentation: the wire arrives in chunks
   // of the given size, as a real TCP stream would.
   const size_t chunk = static_cast<size_t>(state.range(0));
   const TupleVector& stream = WearableStream();
-  std::string wire;
-  for (const Tuple& tuple : stream) wire += net::EncodeTupleFrame(tuple);
+  const std::string wire = EncodeTupleWire(stream);
   for (auto _ : state) {
     net::FrameDecoder decoder;
     uint8_t type = 0;
-    std::string payload;
+    std::string_view payload;
     size_t frames = 0;
     for (size_t off = 0; off < wire.size(); off += chunk) {
       decoder.Feed(wire.data() + off, std::min(chunk, wire.size() - off));
@@ -170,7 +209,7 @@ void BM_DecodeBatchFrames(benchmark::State& state) {
     net::FrameDecoder decoder;
     decoder.Feed(wire.data(), wire.size());
     uint8_t type = 0;
-    std::string payload;
+    std::string_view payload;
     while (true) {
       auto next = decoder.Next(&type, &payload);
       if (!next.ok() || !next.ValueOrDie()) break;
@@ -195,9 +234,10 @@ BENCHMARK(BM_DecodeBatchFrames)
 
 /// Measures tuple-frame vs batch-frame codec wall time over the same
 /// stream and writes BENCH_wire.json: per-path seconds, bytes on the
-/// wire, and the encode/decode speedups. The encode floor is 1x — the
-/// batch framing exists so FanoutSink can encode once per micro-batch,
-/// so it must never be slower than per-tuple framing.
+/// wire, and the encode/decode speedups, plus the tuple-frame codec on
+/// the air-quality stream (`aq_*`). The encode floor is 1x — the batch
+/// framing exists so FanoutSink can encode once per micro-batch, so it
+/// must never be slower than per-tuple framing.
 bool WireCodecReport(const std::string& out) {
   const TupleVector& stream = WearableStream();
   const SchemaPtr schema = stream.front().schema();
@@ -205,7 +245,7 @@ bool WireCodecReport(const std::string& out) {
 
   const auto best_of = [](auto&& pass) {
     double best = 1e100;
-    for (int rep = 0; rep < 5; ++rep) {
+    for (int rep = 0; rep < 9; ++rep) {
       const auto start = std::chrono::steady_clock::now();
       pass();
       const std::chrono::duration<double> elapsed =
@@ -215,15 +255,35 @@ bool WireCodecReport(const std::string& out) {
     return best;
   };
 
-  size_t tuple_bytes = 0;
-  const double tuple_encode_s = best_of([&] {
-    tuple_bytes = 0;
-    for (const Tuple& tuple : stream) {
-      const std::string frame = net::EncodeTupleFrame(tuple);
-      benchmark::DoNotOptimize(frame.data());
-      tuple_bytes += frame.size();
-    }
-  });
+  // Tuple frames: one frame string per tuple on encode; frame views
+  // decoded into one reused Tuple, as the client does.
+  struct TupleCodec {
+    double encode_s = 0;
+    double decode_s = 0;
+    size_t bytes = 0;
+  };
+  const auto tuple_codec = [&](const TupleVector& tuples) {
+    TupleCodec codec;
+    codec.encode_s = best_of([&] {
+      codec.bytes = 0;
+      for (const Tuple& tuple : tuples) {
+        const std::string frame = net::EncodeTupleFrame(tuple);
+        benchmark::DoNotOptimize(frame.data());
+        codec.bytes += frame.size();
+      }
+    });
+    const std::string wire = EncodeTupleWire(tuples);
+    Tuple decoded;
+    codec.decode_s = best_of([&] {
+      if (!DecodeTupleWire(wire, tuples.front().schema(), &decoded).ok()) {
+        std::abort();
+      }
+    });
+    return codec;
+  };
+  const TupleCodec wearable = tuple_codec(stream);
+  const TupleCodec aq = tuple_codec(AirQualityStream());
+
   size_t batch_bytes = 0;
   const double batch_encode_s = best_of([&] {
     batch_bytes = 0;
@@ -233,51 +293,41 @@ bool WireCodecReport(const std::string& out) {
       batch_bytes += frame.size();
     }
   });
-
-  std::string tuple_wire;
-  for (const Tuple& tuple : stream) tuple_wire += net::EncodeTupleFrame(tuple);
   std::string batch_wire;
   for (const Batch& batch : batches) batch_wire += net::EncodeBatchFrame(batch);
-  const auto drain = [&](const std::string& wire, auto&& decode_payload) {
+  const double batch_decode_s = best_of([&] {
     net::FrameDecoder decoder;
-    decoder.Feed(wire.data(), wire.size());
+    decoder.Feed(batch_wire.data(), batch_wire.size());
     uint8_t type = 0;
-    std::string payload;
+    std::string_view payload;
     while (true) {
       auto next = decoder.Next(&type, &payload);
       if (!next.ok() || !next.ValueOrDie()) break;
-      decode_payload(payload);
-    }
-  };
-  const double tuple_decode_s = best_of([&] {
-    drain(tuple_wire, [&](const std::string& payload) {
-      auto tuple = net::DecodeTuplePayload(payload, schema);
-      if (!tuple.ok()) std::abort();
-      benchmark::DoNotOptimize(tuple.ValueOrDie().id());
-    });
-  });
-  const double batch_decode_s = best_of([&] {
-    drain(batch_wire, [&](const std::string& payload) {
       auto batch = net::DecodeBatchPayload(payload, schema);
       if (!batch.ok()) std::abort();
       benchmark::DoNotOptimize(batch.ValueOrDie().rows());
-    });
+    }
   });
 
-  const double encode_speedup = tuple_encode_s / batch_encode_s;
-  const double decode_speedup = tuple_decode_s / batch_decode_s;
+  const double encode_speedup = wearable.encode_s / batch_encode_s;
+  const double decode_speedup = wearable.decode_s / batch_decode_s;
   Json report = Json::MakeObject();
   report.Set("bench", Json(std::string("net_wire_codec")));
   report.Set("tuples", Json(static_cast<int64_t>(stream.size())));
   report.Set("batch_rows", Json(int64_t{256}));
-  report.Set("tuple_encode_seconds", Json(tuple_encode_s));
+  report.Set("tuple_encode_seconds", Json(wearable.encode_s));
   report.Set("batch_encode_seconds", Json(batch_encode_s));
-  report.Set("tuple_decode_seconds", Json(tuple_decode_s));
+  report.Set("tuple_decode_seconds", Json(wearable.decode_s));
   report.Set("batch_decode_seconds", Json(batch_decode_s));
-  report.Set("tuple_wire_bytes", Json(static_cast<int64_t>(tuple_bytes)));
+  report.Set("tuple_wire_bytes", Json(static_cast<int64_t>(wearable.bytes)));
   report.Set("batch_wire_bytes", Json(static_cast<int64_t>(batch_bytes)));
   report.Set("encode_speedup", Json(encode_speedup));
   report.Set("decode_speedup", Json(decode_speedup));
+  report.Set("aq_tuples",
+             Json(static_cast<int64_t>(AirQualityStream().size())));
+  report.Set("aq_tuple_encode_seconds", Json(aq.encode_s));
+  report.Set("aq_tuple_decode_seconds", Json(aq.decode_s));
+  report.Set("aq_tuple_wire_bytes", Json(static_cast<int64_t>(aq.bytes)));
   const std::string text = report.DumpPretty() + "\n";
   std::FILE* file = std::fopen(out.c_str(), "w");
   if (file == nullptr) {
@@ -288,8 +338,11 @@ bool WireCodecReport(const std::string& out) {
   std::fclose(file);
   std::fprintf(stderr,
                "wire-codec: encode %.2fx, decode %.2fx (batch vs tuple "
-               "frames) → %s\n",
-               encode_speedup, decode_speedup, out.c_str());
+               "frames); tuple decode/encode %.2fx wearable, %.2fx air "
+               "quality → %s\n",
+               encode_speedup, decode_speedup,
+               wearable.decode_s / wearable.encode_s,
+               aq.decode_s / aq.encode_s, out.c_str());
   if (encode_speedup < 1.0) {
     std::fprintf(stderr,
                  "FAIL: batch-frame encoding is slower than per-tuple "

@@ -31,8 +31,9 @@ Status SendAll(int fd, const std::string& bytes) {
 
 /// Blocking frame read. Returns false on a clean EOF between frames;
 /// IOError on a mid-frame EOF or a transport failure.
+/// `*payload` views the decoder's buffer until its next Feed().
 Result<bool> ReadFrame(int fd, FrameDecoder* decoder, uint8_t* type,
-                       std::string* payload) {
+                       std::string_view* payload) {
   char buf[16 * 1024];
   while (true) {
     ICEWAFL_ASSIGN_OR_RETURN(const bool have, decoder->Next(type, payload));
@@ -209,7 +210,7 @@ void AdminServer::ServeConn(AdminConn* conn) {
   FrameDecoder decoder;
   while (true) {
     uint8_t type = 0;
-    std::string payload;
+    std::string_view payload;
     Result<bool> read = ReadFrame(conn->fd.get(), &decoder, &type, &payload);
     if (!read.ok() || !read.ValueOrDie()) return;
     Json body;
@@ -427,7 +428,7 @@ Result<Json> AdminClient::Call(const std::string& method, const Json& params) {
   AppendFrame(kFrameAdminRequest, request.Dump(), &out);
   ICEWAFL_RETURN_NOT_OK(SendAll(fd_.get(), out));
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   ICEWAFL_ASSIGN_OR_RETURN(const bool have,
                            ReadFrame(fd_.get(), &decoder_, &type, &payload));
   if (!have) {

@@ -37,8 +37,14 @@ std::string StreamClient::Context() const {
   return ContextOf(session_id_, peer_);
 }
 
+Status StreamClient::Fail(const Status& status) {
+  error_ = Status(status.code(), Context() + ": " + status.message());
+  fd_.Reset();
+  return error_;
+}
+
 Status StreamClient::ReadFrame(int fd, FrameDecoder* decoder, uint8_t* type,
-                               std::string* payload) {
+                               std::string_view* payload) {
   char buf[64 * 1024];
   while (true) {
     ICEWAFL_ASSIGN_OR_RETURN(const bool have, decoder->Next(type, payload));
@@ -70,11 +76,11 @@ Result<std::unique_ptr<StreamClient>> StreamClient::Connect(
   // Handshake: the server answers with the session's schema.
   FrameDecoder decoder;
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   ICEWAFL_RETURN_NOT_OK(ReadFrame(fd.get(), &decoder, &type, &payload));
   if (type == kFrameError) {
     return Status::IOError(context + ": server error during handshake: " +
-                           payload);
+                           std::string(payload));
   }
   if (type != kFrameSchema) {
     return Status::ParseError(
@@ -98,31 +104,30 @@ Result<bool> StreamClient::Next(Tuple* out) {
     ++tuples_received_;
     return true;
   }
+  if (!error_.ok()) return error_;
   if (finished_) return false;
   while (true) {
     uint8_t type = 0;
-    std::string payload;
+    std::string_view payload;
+    // Attribute every failure: a bare "connection closed mid-stream" is
+    // useless when one process tails many sessions.
     Status read = ReadFrame(fd_.get(), &decoder_, &type, &payload);
-    if (!read.ok()) {
-      // Attribute the failure: a bare "connection closed mid-stream" is
-      // useless when one process tails many sessions.
-      return Status(read.code(), Context() + ": " + read.message());
-    }
+    if (!read.ok()) return Fail(read);
     switch (type) {
       case kFrameTuple: {
-        ICEWAFL_ASSIGN_OR_RETURN(*out, DecodeTuplePayload(payload, schema_));
+        Status decoded = DecodeTuplePayload(payload, schema_, out);
+        if (!decoded.ok()) return Fail(decoded);
         ++tuples_received_;
         return true;
       }
       case kFrameBatch: {
         if ((capabilities_ & kCapBatchFrames) == 0) {
-          return Status::ParseError(
-              Context() +
-              ": server sent a Batch frame this client did not negotiate");
+          return Fail(Status::ParseError(
+              "server sent a Batch frame this client did not negotiate"));
         }
-        ICEWAFL_ASSIGN_OR_RETURN(Batch batch,
-                                 DecodeBatchPayload(payload, schema_));
-        TupleVector rows = batch.ToTuples();
+        Result<Batch> batch = DecodeBatchPayload(payload, schema_);
+        if (!batch.ok()) return Fail(batch.status());
+        TupleVector rows = batch.ValueOrDie().ToTuples();
         for (Tuple& t : rows) pending_.push_back(std::move(t));
         if (pending_.empty()) continue;  // tolerate an empty batch
         *out = std::move(pending_.front());
@@ -131,28 +136,26 @@ Result<bool> StreamClient::Next(Tuple* out) {
         return true;
       }
       case kFrameEnd: {
-        ICEWAFL_ASSIGN_OR_RETURN(reported_total_, DecodeEndPayload(payload));
+        Result<uint64_t> total = DecodeEndPayload(payload);
+        if (!total.ok()) return Fail(total.status());
+        reported_total_ = total.ValueOrDie();
+        if (reported_total_ != tuples_received_) {
+          return Fail(Status::IOError(
+              "stream ended after " + std::to_string(tuples_received_) +
+              " tuples but the server reported " +
+              std::to_string(reported_total_)));
+        }
         finished_ = true;
         fd_.Reset();
-        if (reported_total_ != tuples_received_) {
-          return Status::IOError(
-              Context() + ": stream ended after " +
-              std::to_string(tuples_received_) +
-              " tuples but the server reported " +
-              std::to_string(reported_total_));
-        }
         return false;
       }
       case kFrameError:
-        finished_ = true;
-        fd_.Reset();
-        return Status::IOError(Context() + ": server error: " + payload);
+        return Fail(Status::IOError("server error: " + std::string(payload)));
       case kFrameSchema:
-        return Status::ParseError(Context() +
-                                  ": unexpected mid-stream Schema frame");
+        return Fail(Status::ParseError("unexpected mid-stream Schema frame"));
       default:
-        return Status::ParseError(Context() + ": unknown frame type " +
-                                  std::to_string(static_cast<int>(type)));
+        return Fail(Status::ParseError("unknown frame type " +
+                                       std::to_string(static_cast<int>(type))));
     }
   }
 }

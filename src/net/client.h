@@ -5,6 +5,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "net/socket.h"
 #include "net/wire.h"
@@ -24,8 +25,10 @@ namespace net {
 /// false at the End frame, and surfaces every abnormal condition — a
 /// server-sent Error frame, a mid-stream disconnect, or a malformed
 /// frame — as a Status. Every error status identifies the session and
-/// the peer address, so a multi-tenant failure is attributable. One
-/// client consumes exactly one run; it does not reconnect.
+/// the peer address, so a multi-tenant failure is attributable, and an
+/// error is final: the connection is closed and every later Next()
+/// returns the same status without touching the socket. One client
+/// consumes exactly one run; it does not reconnect.
 class StreamClient : public Source {
  public:
   /// \brief Dials host:port, subscribes to `session_id`, and completes
@@ -43,6 +46,8 @@ class StreamClient : public Source {
 
   /// \brief Produces the next streamed tuple; false at graceful end of
   /// stream. A disconnect before the End frame is an error, not an end.
+  /// A Tuple frame is decoded straight into `*out`, reusing its value
+  /// storage (see DecodeTuplePayload).
   Result<bool> Next(Tuple* out) override;
 
   /// \brief Tuples received so far.
@@ -67,12 +72,17 @@ class StreamClient : public Source {
         peer_(std::move(peer)) {}
 
   /// Blocks until one complete frame is available (or the peer closes).
+  /// `*payload` views the decoder's buffer until its next Feed().
   static Status ReadFrame(int fd, FrameDecoder* decoder, uint8_t* type,
-                          std::string* payload);
+                          std::string_view* payload);
 
   /// "session '<id>' at <host>:<port>" (or "peer <host>:<port>" when
   /// no session id was given) — the prefix of every error status.
   std::string Context() const;
+
+  /// Ends the stream with `status` prefixed by Context(): closes the
+  /// connection and latches the error for every later Next().
+  Status Fail(const Status& status);
 
   UniqueFd fd_;
   SchemaPtr schema_;
@@ -84,7 +94,8 @@ class StreamClient : public Source {
   uint64_t capabilities_ = 0;
   /// Rows of a decoded Batch frame not yet handed out by Next().
   std::deque<Tuple> pending_;
-  bool finished_ = false;
+  bool finished_ = false;  ///< the End frame arrived
+  Status error_;          ///< latched by Fail()
   uint64_t tuples_received_ = 0;
   uint64_t reported_total_ = 0;
 };

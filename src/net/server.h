@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -389,7 +390,7 @@ class PollutionServer {
   void RetireLocked(const SessionPtr& session, const std::string& reason)
       REQUIRES(mu_, session->mu);
   /// Reactor: parses and answers the Subscribe hello in `payload`.
-  void HandleSubscribe(const ConnPtr& conn, const std::string& payload)
+  void HandleSubscribe(const ConnPtr& conn, std::string_view payload)
       EXCLUDES(mu_);
   /// Applies the slow-consumer policy to enqueue `bytes` — `frames`
   /// whole frames back to back, weighing `frames` in the queue — for

@@ -47,70 +47,89 @@ void AppendFixed64(uint64_t v, std::string* out) {
   out->append(buf, PutFixed64(v, buf));
 }
 
-Result<uint8_t> ByteReader::U8() {
-  if (pos_ >= size_) return Status::ParseError("wire: truncated byte");
-  return data_[pos_++];
+bool ByteReader::Fail(const char* message) {
+  if (error_ == nullptr) error_ = message;
+  size_ = pos_;  // every later read fails without a branch of its own
+  return false;
 }
 
-Result<uint64_t> ByteReader::Fixed64() {
-  if (size_ - pos_ < 8) return Status::ParseError("wire: truncated fixed64");
+bool ByteReader::U8(uint8_t* out) {
+  if (pos_ >= size_) return Fail("wire: truncated byte");
+  *out = data_[pos_++];
+  return true;
+}
+
+bool ByteReader::Fixed64(uint64_t* out) {
+  if (size_ - pos_ < 8) return Fail("wire: truncated fixed64");
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  std::memcpy(out, data_ + pos_, 8);
+#else
   uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
     v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
          << (8 * i);
   }
+  *out = v;
+#endif
   pos_ += 8;
-  return v;
+  return true;
 }
 
-Result<uint64_t> ByteReader::Varint() {
+bool ByteReader::Varint(uint64_t* out) {
+  if (pos_ < size_ && data_[pos_] < 0x80) {  // one-byte fast path
+    *out = data_[pos_++];
+    return true;
+  }
   uint64_t v = 0;
   for (int i = 0; i < kMaxVarintBytes; ++i) {
-    if (pos_ >= size_) return Status::ParseError("wire: truncated varint");
+    if (pos_ >= size_) return Fail("wire: truncated varint");
     const uint8_t byte = data_[pos_++];
     // The 10th byte may only carry the final bit of a 64-bit value.
     if (i == kMaxVarintBytes - 1 && (byte & 0xFE) != 0) {
-      return Status::ParseError("wire: varint overflows 64 bits");
+      return Fail("wire: varint overflows 64 bits");
     }
     v |= static_cast<uint64_t>(byte & 0x7F) << (7 * i);
     if ((byte & 0x80) == 0) {
       // A terminating byte of 0x00 after at least one continuation byte
       // is an overlong (non-minimal) encoding — e.g. 0x80 0x00 for 0 —
       // and must be rejected, or the same value has many wire spellings.
-      if (i > 0 && byte == 0) {
-        return Status::ParseError("wire: non-canonical varint");
-      }
-      return v;
+      if (i > 0 && byte == 0) return Fail("wire: non-canonical varint");
+      *out = v;
+      return true;
     }
   }
-  return Status::ParseError("wire: varint too long");
+  return Fail("wire: varint too long");
 }
 
-Result<std::string> ByteReader::Bytes(size_t n) {
-  if (size_ - pos_ < n) return Status::ParseError("wire: truncated bytes");
-  std::string out(reinterpret_cast<const char*>(data_ + pos_), n);
+bool ByteReader::Bytes(size_t n, std::string_view* out) {
+  if (size_ - pos_ < n) return Fail("wire: truncated bytes");
+  *out = std::string_view(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += n;
-  return out;
+  return true;
 }
 
-Status ByteReader::ReadRaw(void* dst, size_t n) {
-  if (size_ - pos_ < n) return Status::ParseError("wire: truncated bytes");
-  if (n == 0) return Status::OK();  // dst may be null for an empty span
+bool ByteReader::ReadRaw(void* dst, size_t n) {
+  if (size_ - pos_ < n) return Fail("wire: truncated bytes");
+  if (n == 0) return true;  // dst may be null for an empty span
   std::memcpy(dst, data_ + pos_, n);
   pos_ += n;
+  return true;
+}
+
+bool ByteReader::SubReader(size_t n, ByteReader* out) {
+  if (size_ - pos_ < n) return Fail("wire: sub-blob length exceeds payload");
+  *out = ByteReader(data_ + pos_, n);
+  pos_ += n;
+  return true;
+}
+
+Status ByteReader::status() const {
+  if (error_ != nullptr) return Status::ParseError(error_);
   return Status::OK();
 }
 
-Result<ByteReader> ByteReader::SubReader(size_t n) {
-  if (size_ - pos_ < n) {
-    return Status::ParseError("wire: sub-blob length exceeds payload");
-  }
-  ByteReader sub(data_ + pos_, n);
-  pos_ += n;
-  return sub;
-}
-
 Status ByteReader::ExpectEnd() const {
+  if (!ok()) return status();
   if (pos_ != size_) {
     return Status::ParseError("wire: " + std::to_string(size_ - pos_) +
                               " trailing payload byte(s)");
@@ -118,7 +137,7 @@ Status ByteReader::ExpectEnd() const {
   return Status::OK();
 }
 
-void AppendFrame(uint8_t type, const std::string& payload, std::string* out) {
+void AppendFrame(uint8_t type, std::string_view payload, std::string* out) {
   out->push_back(static_cast<char>(type));
   AppendVarint(payload.size(), out);
   out->append(payload);
@@ -138,36 +157,55 @@ std::string EncodeSchemaPayload(const Schema& schema) {
 
 namespace {
 
-Result<Value> ReadValue(ByteReader* reader) {
-  ICEWAFL_ASSIGN_OR_RETURN(uint8_t tag, reader->U8());
-  switch (static_cast<ValueType>(tag)) {
+/// Reads one self-describing value into `*out`, reusing the storage of
+/// the value it overwrites. On failure the reader holds the error,
+/// except for an unknown tag (written to `*tag`), which ValueError
+/// reports.
+bool ReadValue(ByteReader* reader, Value* out, uint8_t* tag) {
+  if (!reader->U8(tag)) return false;
+  switch (static_cast<ValueType>(*tag)) {
     case ValueType::kNull:
-      return Value::Null();
+      *out = Value::Null();
+      return true;
     case ValueType::kBool: {
-      ICEWAFL_ASSIGN_OR_RETURN(uint8_t b, reader->U8());
-      if (b > 1) return Status::ParseError("wire: bool byte not 0/1");
-      return Value(b == 1);
+      uint8_t b = 0;
+      if (!reader->U8(&b)) return false;
+      if (b > 1) return reader->Fail("wire: bool byte not 0/1");
+      *out = Value(b == 1);
+      return true;
     }
     case ValueType::kInt64: {
-      ICEWAFL_ASSIGN_OR_RETURN(uint64_t bits, reader->Fixed64());
-      return Value(static_cast<int64_t>(bits));
+      uint64_t bits = 0;
+      if (!reader->Fixed64(&bits)) return false;
+      *out = Value(static_cast<int64_t>(bits));
+      return true;
     }
     case ValueType::kDouble: {
-      ICEWAFL_ASSIGN_OR_RETURN(uint64_t bits, reader->Fixed64());
+      uint64_t bits = 0;
+      if (!reader->Fixed64(&bits)) return false;
       double d = 0;
       std::memcpy(&d, &bits, sizeof(d));
-      return Value(d);
+      *out = Value(d);
+      return true;
     }
     case ValueType::kString: {
-      ICEWAFL_ASSIGN_OR_RETURN(uint64_t len, reader->Varint());
+      uint64_t len = 0;
+      std::string_view s;
+      if (!reader->Varint(&len)) return false;
       if (len > reader->remaining()) {
-        return Status::ParseError("wire: string length exceeds payload");
+        return reader->Fail("wire: string length exceeds payload");
       }
-      ICEWAFL_ASSIGN_OR_RETURN(std::string s,
-                               reader->Bytes(static_cast<size_t>(len)));
-      return Value(std::move(s));
+      if (!reader->Bytes(static_cast<size_t>(len), &s)) return false;
+      out->AssignString(s);
+      return true;
     }
   }
+  return false;
+}
+
+/// The error of a failed ReadValue.
+Status ValueError(const ByteReader& reader, uint8_t tag) {
+  if (!reader.ok()) return reader.status();
   return Status::ParseError("wire: unknown value tag " + std::to_string(tag));
 }
 
@@ -189,16 +227,17 @@ void AppendFixed64Span(const void* data, size_t n, std::string* out) {
 }
 
 /// Inverse of AppendFixed64Span.
-Status ReadFixed64Span(ByteReader* reader, void* dst, size_t n) {
+bool ReadFixed64Span(ByteReader* reader, void* dst, size_t n) {
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
   return reader->ReadRaw(dst, n * 8);
 #else
   uint8_t* p = static_cast<uint8_t*>(dst);
   for (size_t i = 0; i < n; ++i) {
-    ICEWAFL_ASSIGN_OR_RETURN(uint64_t v, reader->Fixed64());
+    uint64_t v = 0;
+    if (!reader->Fixed64(&v)) return false;
     std::memcpy(p + i * 8, &v, 8);
   }
-  return Status::OK();
+  return true;
 #endif
 }
 
@@ -407,9 +446,10 @@ std::string EncodeBatchFrame(const Batch& batch) {
   return out;
 }
 
-Result<SchemaPtr> DecodeSchemaPayload(const std::string& payload) {
+Result<SchemaPtr> DecodeSchemaPayload(std::string_view payload) {
   ByteReader reader(payload);
-  ICEWAFL_ASSIGN_OR_RETURN(uint64_t count, reader.Varint());
+  uint64_t count = 0;
+  if (!reader.Varint(&count)) return reader.status();
   // Each attribute takes at least 2 bytes, so `count` is bounded by the
   // payload size — reject before reserving a hostile capacity.
   if (count > payload.size()) {
@@ -418,20 +458,25 @@ Result<SchemaPtr> DecodeSchemaPayload(const std::string& payload) {
   std::vector<Attribute> attributes;
   attributes.reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count; ++i) {
-    ICEWAFL_ASSIGN_OR_RETURN(uint64_t name_len, reader.Varint());
+    uint64_t name_len = 0;
+    if (!reader.Varint(&name_len)) return reader.status();
     if (name_len > reader.remaining()) {
       return Status::ParseError("wire: attribute name length exceeds payload");
     }
-    ICEWAFL_ASSIGN_OR_RETURN(std::string name,
-                             reader.Bytes(static_cast<size_t>(name_len)));
-    ICEWAFL_ASSIGN_OR_RETURN(uint8_t type, reader.U8());
+    std::string_view name;
+    uint8_t type = 0;
+    if (!reader.Bytes(static_cast<size_t>(name_len), &name) ||
+        !reader.U8(&type)) {
+      return reader.status();
+    }
     if (type > static_cast<uint8_t>(ValueType::kString)) {
       return Status::ParseError("wire: unknown attribute type tag " +
                                 std::to_string(type));
     }
-    attributes.push_back({std::move(name), static_cast<ValueType>(type)});
+    attributes.push_back({std::string(name), static_cast<ValueType>(type)});
   }
-  ICEWAFL_ASSIGN_OR_RETURN(uint64_t ts_index, reader.Varint());
+  uint64_t ts_index = 0;
+  if (!reader.Varint(&ts_index)) return reader.status();
   ICEWAFL_RETURN_NOT_OK(reader.ExpectEnd());
   if (ts_index >= attributes.size()) {
     return Status::ParseError("wire: timestamp index out of range");
@@ -442,49 +487,56 @@ Result<SchemaPtr> DecodeSchemaPayload(const std::string& payload) {
   return Schema::Make(std::move(attributes), ts_name);
 }
 
-Result<Tuple> DecodeTuplePayload(const std::string& payload,
-                                 const SchemaPtr& schema) {
+Status DecodeTuplePayload(std::string_view payload, const SchemaPtr& schema,
+                          Tuple* out) {
   if (schema == nullptr) {
     return Status::InvalidArgument("wire: tuple decode requires a schema");
   }
   ByteReader reader(payload);
-  ICEWAFL_ASSIGN_OR_RETURN(uint64_t id, reader.Fixed64());
-  ICEWAFL_ASSIGN_OR_RETURN(uint64_t event_time, reader.Fixed64());
-  ICEWAFL_ASSIGN_OR_RETURN(uint64_t arrival_time, reader.Fixed64());
-  ICEWAFL_ASSIGN_OR_RETURN(uint64_t substream_zz, reader.Varint());
-  ICEWAFL_ASSIGN_OR_RETURN(uint64_t count, reader.Varint());
+  uint64_t id = 0, event_time = 0, arrival_time = 0, substream_zz = 0;
+  uint64_t count = 0;
+  if (!reader.Fixed64(&id) || !reader.Fixed64(&event_time) ||
+      !reader.Fixed64(&arrival_time) || !reader.Varint(&substream_zz) ||
+      !reader.Varint(&count)) {
+    return reader.status();
+  }
   if (count != schema->num_attributes()) {
     return Status::ParseError(
         "wire: tuple has " + std::to_string(count) +
         " values, schema expects " +
         std::to_string(schema->num_attributes()));
   }
-  std::vector<Value> values;
-  values.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    ICEWAFL_ASSIGN_OR_RETURN(Value v, ReadValue(&reader));
-    values.push_back(std::move(v));
+  // Re-seat the schema only when it changed: copying the shared pointer
+  // per frame would cost two atomic reference-count updates.
+  if (out->schema() != schema) {
+    *out = Tuple(schema, std::move(out->mutable_values()));
+  }
+  std::vector<Value>& values = out->mutable_values();
+  values.resize(static_cast<size_t>(count));
+  for (Value& value : values) {
+    uint8_t tag = 0;
+    if (!ReadValue(&reader, &value, &tag)) return ValueError(reader, tag);
   }
   ICEWAFL_RETURN_NOT_OK(reader.ExpectEnd());
-  Tuple tuple(schema, std::move(values));
-  tuple.set_id(id);
-  tuple.set_event_time(static_cast<Timestamp>(event_time));
-  tuple.set_arrival_time(static_cast<Timestamp>(arrival_time));
   const int64_t substream = ZigzagDecode(substream_zz);
   if (substream < INT32_MIN || substream > INT32_MAX) {
     return Status::ParseError("wire: substream id out of range");
   }
-  tuple.set_substream(static_cast<int>(substream));
-  return tuple;
+  out->set_id(id);
+  out->set_event_time(static_cast<Timestamp>(event_time));
+  out->set_arrival_time(static_cast<Timestamp>(arrival_time));
+  out->set_substream(static_cast<int>(substream));
+  return Status::OK();
 }
 
-Result<Batch> DecodeBatchPayload(const std::string& payload,
+Result<Batch> DecodeBatchPayload(std::string_view payload,
                                  const SchemaPtr& schema) {
   if (schema == nullptr) {
     return Status::InvalidArgument("wire: batch decode requires a schema");
   }
   ByteReader reader(payload);
-  ICEWAFL_ASSIGN_OR_RETURN(uint64_t row_count, reader.Varint());
+  uint64_t row_count = 0;
+  if (!reader.Varint(&row_count)) return reader.status();
   // The id array alone costs 8 bytes per row, so `row_count` is bounded
   // by the payload size — reject before allocating a hostile capacity.
   if (row_count > payload.size() / 8) {
@@ -493,21 +545,23 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
   const size_t rows = static_cast<size_t>(row_count);
   Batch batch = Batch::Empty(schema);
   batch.ResizeDefault(rows);
-  ICEWAFL_RETURN_NOT_OK(ReadFixed64Span(&reader, batch.mutable_ids(), rows));
-  ICEWAFL_RETURN_NOT_OK(
-      ReadFixed64Span(&reader, batch.mutable_event_times(), rows));
-  ICEWAFL_RETURN_NOT_OK(
-      ReadFixed64Span(&reader, batch.mutable_arrival_times(), rows));
+  if (!ReadFixed64Span(&reader, batch.mutable_ids(), rows) ||
+      !ReadFixed64Span(&reader, batch.mutable_event_times(), rows) ||
+      !ReadFixed64Span(&reader, batch.mutable_arrival_times(), rows)) {
+    return reader.status();
+  }
   int32_t* subs = batch.mutable_substreams();
   for (size_t r = 0; r < rows; ++r) {
-    ICEWAFL_ASSIGN_OR_RETURN(uint64_t zz, reader.Varint());
+    uint64_t zz = 0;
+    if (!reader.Varint(&zz)) return reader.status();
     const int64_t substream = ZigzagDecode(zz);
     if (substream < INT32_MIN || substream > INT32_MAX) {
       return Status::ParseError("wire: substream id out of range");
     }
     subs[r] = static_cast<int32_t>(substream);
   }
-  ICEWAFL_ASSIGN_OR_RETURN(uint64_t col_count, reader.Varint());
+  uint64_t col_count = 0;
+  if (!reader.Varint(&col_count)) return reader.status();
   if (col_count != schema->num_attributes()) {
     return Status::ParseError(
         "wire: batch has " + std::to_string(col_count) +
@@ -516,13 +570,17 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
   }
   const size_t vbytes = (rows + 7) / 8;
   for (size_t i = 0; i < schema->num_attributes(); ++i) {
-    ICEWAFL_ASSIGN_OR_RETURN(uint64_t blob_len, reader.Varint());
+    uint64_t blob_len = 0;
+    if (!reader.Varint(&blob_len)) return reader.status();
     if (blob_len > reader.remaining()) {
       return Status::ParseError("wire: column blob length exceeds payload");
     }
-    ICEWAFL_ASSIGN_OR_RETURN(ByteReader cr,
-                             reader.SubReader(static_cast<size_t>(blob_len)));
-    ICEWAFL_ASSIGN_OR_RETURN(uint8_t type_tag, cr.U8());
+    ByteReader cr;
+    uint8_t type_tag = 0;
+    if (!reader.SubReader(static_cast<size_t>(blob_len), &cr)) {
+      return reader.status();
+    }
+    if (!cr.U8(&type_tag)) return cr.status();
     const ValueType declared = schema->attribute(i).type;
     if (type_tag != static_cast<uint8_t>(declared)) {
       return Status::ParseError(
@@ -530,7 +588,8 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
           std::to_string(type_tag) + " does not match the schema");
     }
     Column& col = batch.column(i);
-    ICEWAFL_ASSIGN_OR_RETURN(std::string vbits, cr.Bytes(vbytes));
+    std::string_view vbits;
+    if (!cr.Bytes(vbytes, &vbits)) return cr.status();
     if (rows % 8 != 0 &&
         (static_cast<uint8_t>(vbits[vbytes - 1]) >> (rows % 8)) != 0) {
       return Status::ParseError("wire: non-zero trailing validity bits");
@@ -542,7 +601,7 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
     }
     switch (declared) {
       case ValueType::kBool: {
-        ICEWAFL_RETURN_NOT_OK(cr.ReadRaw(col.bools(), rows));
+        if (!cr.ReadRaw(col.bools(), rows)) return cr.status();
         const uint8_t* bools = col.bools();
         for (size_t r = 0; r < rows; ++r) {
           if (bools[r] > 1) {
@@ -555,7 +614,7 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
         break;
       }
       case ValueType::kInt64: {
-        ICEWAFL_RETURN_NOT_OK(ReadFixed64Span(&cr, col.int64s(), rows));
+        if (!ReadFixed64Span(&cr, col.int64s(), rows)) return cr.status();
         const int64_t* ints = col.int64s();
         for (size_t r = 0; r < rows; ++r) {
           if (ints[r] != 0 && !col.IsValid(r)) {
@@ -565,7 +624,7 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
         break;
       }
       case ValueType::kDouble: {
-        ICEWAFL_RETURN_NOT_OK(ReadFixed64Span(&cr, col.doubles(), rows));
+        if (!ReadFixed64Span(&cr, col.doubles(), rows)) return cr.status();
         const double* ds = col.doubles();
         for (size_t r = 0; r < rows; ++r) {
           uint64_t bits = 0;
@@ -580,12 +639,14 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
         std::string* strs = col.strings();
         for (size_t r = 0; r < rows; ++r) {
           if (!col.IsValid(r)) continue;
-          ICEWAFL_ASSIGN_OR_RETURN(uint64_t len, cr.Varint());
+          uint64_t len = 0;
+          if (!cr.Varint(&len)) return cr.status();
           if (len > cr.remaining()) {
             return Status::ParseError("wire: string length exceeds payload");
           }
-          ICEWAFL_ASSIGN_OR_RETURN(strs[r],
-                                   cr.Bytes(static_cast<size_t>(len)));
+          std::string_view s;
+          if (!cr.Bytes(static_cast<size_t>(len), &s)) return cr.status();
+          strs[r].assign(s);
         }
         break;
       }
@@ -600,7 +661,8 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
         break;
       }
     }
-    ICEWAFL_ASSIGN_OR_RETURN(uint64_t divergent_count, cr.Varint());
+    uint64_t divergent_count = 0;
+    if (!cr.Varint(&divergent_count)) return cr.status();
     // Each divergent entry takes at least two bytes (row + value tag).
     if (divergent_count > cr.remaining()) {
       return Status::ParseError("wire: divergent count exceeds column blob");
@@ -610,7 +672,8 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
     divergent.reserve(static_cast<size_t>(divergent_count));
     uint64_t prev = 0;
     for (uint64_t d = 0; d < divergent_count; ++d) {
-      ICEWAFL_ASSIGN_OR_RETURN(uint64_t row, cr.Varint());
+      uint64_t row = 0;
+      if (!cr.Varint(&row)) return cr.status();
       if (row >= rows) {
         return Status::ParseError("wire: divergent row out of range");
       }
@@ -621,7 +684,9 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
       if (col.IsValid(static_cast<size_t>(row))) {
         return Status::ParseError("wire: divergent entry for valid row");
       }
-      ICEWAFL_ASSIGN_OR_RETURN(Value v, ReadValue(&cr));
+      Value v;
+      uint8_t tag = 0;
+      if (!ReadValue(&cr, &v, &tag)) return ValueError(cr, tag);
       if (v.is_null() || v.type() == declared) {
         return Status::ParseError("wire: divergent value does not diverge");
       }
@@ -633,18 +698,21 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
   return batch;
 }
 
-Result<uint64_t> DecodeEndPayload(const std::string& payload) {
+Result<uint64_t> DecodeEndPayload(std::string_view payload) {
   ByteReader reader(payload);
-  ICEWAFL_ASSIGN_OR_RETURN(uint64_t total, reader.Varint());
+  uint64_t total = 0;
+  if (!reader.Varint(&total)) return reader.status();
   ICEWAFL_RETURN_NOT_OK(reader.ExpectEnd());
   return total;
 }
 
-Result<SubscribeRequest> DecodeSubscribePayload(const std::string& payload) {
+Result<SubscribeRequest> DecodeSubscribePayload(std::string_view payload) {
   ByteReader reader(payload);
   SubscribeRequest request;
-  ICEWAFL_ASSIGN_OR_RETURN(request.version, reader.Varint());
-  ICEWAFL_ASSIGN_OR_RETURN(uint64_t id_len, reader.Varint());
+  uint64_t id_len = 0;
+  if (!reader.Varint(&request.version) || !reader.Varint(&id_len)) {
+    return reader.status();
+  }
   if (id_len > kMaxSessionIdBytes) {
     return Status::ParseError("wire: session id of " + std::to_string(id_len) +
                               " bytes exceeds limit");
@@ -652,11 +720,12 @@ Result<SubscribeRequest> DecodeSubscribePayload(const std::string& payload) {
   if (id_len > reader.remaining()) {
     return Status::ParseError("wire: session id length exceeds payload");
   }
-  ICEWAFL_ASSIGN_OR_RETURN(request.session_id,
-                           reader.Bytes(static_cast<size_t>(id_len)));
+  std::string_view id;
+  if (!reader.Bytes(static_cast<size_t>(id_len), &id)) return reader.status();
+  request.session_id.assign(id);
   // Optional capabilities varint (absent in capability-less hellos).
-  if (reader.remaining() > 0) {
-    ICEWAFL_ASSIGN_OR_RETURN(request.capabilities, reader.Varint());
+  if (reader.remaining() > 0 && !reader.Varint(&request.capabilities)) {
+    return reader.status();
   }
   ICEWAFL_RETURN_NOT_OK(reader.ExpectEnd());
   return request;
@@ -671,7 +740,7 @@ void FrameDecoder::Feed(const void* data, size_t n) {
   buffer_.append(static_cast<const char*>(data), n);
 }
 
-Result<bool> FrameDecoder::Next(uint8_t* type, std::string* payload) {
+Result<bool> FrameDecoder::Next(uint8_t* type, std::string_view* payload) {
   const size_t avail = buffer_.size() - consumed_;
   if (avail < 2) return false;  // type byte + at least one length byte
   const uint8_t frame_type = static_cast<uint8_t>(buffer_[consumed_]);
@@ -707,7 +776,8 @@ Result<bool> FrameDecoder::Next(uint8_t* type, std::string* payload) {
                               std::to_string(max_payload_));
   }
   if (avail - header < len) return false;  // partial payload
-  payload->assign(buffer_, consumed_ + header, static_cast<size_t>(len));
+  *payload = std::string_view(buffer_).substr(consumed_ + header,
+                                             static_cast<size_t>(len));
   *type = frame_type;
   consumed_ += header + static_cast<size_t>(len);
   return true;

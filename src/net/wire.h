@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "stream/batch.h"
 #include "stream/schema.h"
@@ -91,37 +92,50 @@ inline int64_t ZigzagDecode(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
-/// \brief Bounds-checked sequential reader over one frame payload.
+/// \brief Bounds-checked cursor over one frame payload.
 ///
-/// Every accessor returns a Status instead of reading past the end, so
-/// decoding a hostile buffer degrades to an error, never UB.
+/// Every accessor returns false instead of reading past the end and
+/// writes its result through an out-parameter, so decoders chain reads
+/// with `&&` and build a Status only on the error path. The first
+/// failure is sticky: it records a static message and empties the rest
+/// of the input, so every later read fails as well. status() and
+/// ExpectEnd() turn the recorded message into a ParseError.
 class ByteReader {
  public:
+  ByteReader() = default;
   ByteReader(const void* data, size_t size)
       : data_(static_cast<const uint8_t*>(data)), size_(size) {}
-  explicit ByteReader(const std::string& buf)
+  explicit ByteReader(std::string_view buf)
       : ByteReader(buf.data(), buf.size()) {}
 
   size_t remaining() const { return size_ - pos_; }
-  size_t position() const { return pos_; }
+  bool ok() const { return error_ == nullptr; }
 
-  Result<uint8_t> U8();
-  Result<uint64_t> Fixed64();
-  Result<uint64_t> Varint();
-  /// \brief Reads `n` raw bytes into a string.
-  Result<std::string> Bytes(size_t n);
+  bool U8(uint8_t* out);
+  bool Fixed64(uint64_t* out);
+  bool Varint(uint64_t* out);
+  /// \brief Views the next `n` bytes; the view aliases the payload.
+  bool Bytes(size_t n, std::string_view* out);
   /// \brief Copies `n` raw bytes into `dst` (bulk fixed-width arrays).
-  Status ReadRaw(void* dst, size_t n);
+  bool ReadRaw(void* dst, size_t n);
   /// \brief Splits off a bounds-checked reader over the next `n` bytes
   /// and advances past them (length-prefixed sub-blobs).
-  Result<ByteReader> SubReader(size_t n);
-  /// \brief Error unless the payload was consumed exactly.
+  bool SubReader(size_t n, ByteReader* out);
+  /// \brief Records `message` (a string literal) unless an earlier
+  /// failure is already recorded. Always returns false.
+  bool Fail(const char* message);
+
+  /// \brief OK, or the first failure as a ParseError.
+  Status status() const;
+  /// \brief status(), else an error unless the payload was consumed
+  /// exactly.
   Status ExpectEnd() const;
 
  private:
-  const uint8_t* data_;
-  size_t size_;
+  const uint8_t* data_ = nullptr;
+  size_t size_ = 0;
   size_t pos_ = 0;
+  const char* error_ = nullptr;
 };
 
 // ---------------------------------------------------------------------
@@ -129,7 +143,7 @@ class ByteReader {
 // ---------------------------------------------------------------------
 
 /// \brief Appends one complete frame (type + length prefix + payload).
-void AppendFrame(uint8_t type, const std::string& payload, std::string* out);
+void AppendFrame(uint8_t type, std::string_view payload, std::string* out);
 
 /// \brief Appends one complete Tuple frame to `out` in a single pass:
 /// the frame is sized once and header and payload are written in place
@@ -199,13 +213,19 @@ std::string EncodeSubscribeFrame(uint64_t version,
 // ---------------------------------------------------------------------
 
 /// \brief Validates and decodes a schema payload.
-Result<SchemaPtr> DecodeSchemaPayload(const std::string& payload);
+Result<SchemaPtr> DecodeSchemaPayload(std::string_view payload);
 
-/// \brief Validates and decodes a tuple payload against `schema` (the
-/// value count must match the schema arity; value types are
-/// self-describing, since polluters may NULL any attribute).
-Result<Tuple> DecodeTuplePayload(const std::string& payload,
-                                 const SchemaPtr& schema);
+/// \brief Validates and decodes a tuple payload against `schema` into
+/// `*out` (the value count must match the schema arity; value types
+/// are self-describing, since polluters may NULL any attribute).
+///
+/// Decodes in place: `*out`'s value vector and string buffers are
+/// reused, and its schema pointer is re-seated only when it differs
+/// from `schema`, so a client decoding every frame into one Tuple
+/// allocates nothing per frame. `*out` may be default-constructed or
+/// moved-from. On error `*out` is valid but unspecified.
+Status DecodeTuplePayload(std::string_view payload, const SchemaPtr& schema,
+                          Tuple* out);
 
 /// \brief Validates and decodes a batch payload against `schema`. The
 /// column count and declared column types must match the schema, and
@@ -214,11 +234,11 @@ Result<Tuple> DecodeTuplePayload(const std::string& payload,
 /// validity bit is clear and whose value type actually diverges —
 /// anything else is a ParseError, so served batch bytes have exactly
 /// one accepted spelling.
-Result<Batch> DecodeBatchPayload(const std::string& payload,
+Result<Batch> DecodeBatchPayload(std::string_view payload,
                                  const SchemaPtr& schema);
 
 /// \brief Decodes the total-count payload of an End frame.
-Result<uint64_t> DecodeEndPayload(const std::string& payload);
+Result<uint64_t> DecodeEndPayload(std::string_view payload);
 
 /// \brief Decoded Subscribe hello.
 struct SubscribeRequest {
@@ -229,7 +249,7 @@ struct SubscribeRequest {
 
 /// \brief Decodes a Subscribe payload. Rejects ids longer than
 /// kMaxSessionIdBytes; version compatibility is the server's call.
-Result<SubscribeRequest> DecodeSubscribePayload(const std::string& payload);
+Result<SubscribeRequest> DecodeSubscribePayload(std::string_view payload);
 
 /// \brief Incremental frame splitter over a byte stream.
 ///
@@ -249,8 +269,10 @@ class FrameDecoder {
   void Feed(const void* data, size_t n);
 
   /// \return true and fills `*type` / `*payload` when a complete frame
-  /// was extracted; false when more bytes are needed.
-  Result<bool> Next(uint8_t* type, std::string* payload);
+  /// was extracted; false when more bytes are needed. `*payload` views
+  /// the decoder's buffer and stays valid until the next Feed(); a
+  /// caller that keeps the bytes longer copies them.
+  Result<bool> Next(uint8_t* type, std::string_view* payload);
 
   size_t buffered() const { return buffer_.size() - consumed_; }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "util/result.h"
@@ -42,6 +43,16 @@ class Value {
   Value(std::string s) : data_(std::move(s)) {}        // NOLINT
 
   static Value Null() { return Value(); }
+
+  /// \brief Makes this a string value equal to `s`, reusing the string
+  /// buffer this value already holds (in-place wire decode).
+  void AssignString(std::string_view s) {
+    if (std::string* held = std::get_if<std::string>(&data_)) {
+      held->assign(s);
+    } else {
+      data_.emplace<std::string>(s);
+    }
+  }
 
   ValueType type() const {
     return static_cast<ValueType>(data_.index());

@@ -429,7 +429,7 @@ class Parser {
 
 }  // namespace
 
-Result<Json> Json::Parse(const std::string& text) {
+Result<Json> Json::Parse(std::string_view text) {
   Parser parser(text.data(), text.data() + text.size());
   return parser.ParseDocument();
 }

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -95,7 +96,7 @@ class Json {
   /// \brief Parses a JSON document (strict: whole input consumed). A
   /// document nested deeper than kMaxDepth is a ParseError naming the
   /// offset of the first container past the cap.
-  static Result<Json> Parse(const std::string& text);
+  static Result<Json> Parse(std::string_view text);
 
   bool operator==(const Json& other) const;
 

@@ -1,5 +1,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 
@@ -11,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -394,9 +396,13 @@ void RawHello(uint16_t port, const std::string& frame, uint8_t* type,
   FrameDecoder decoder;
   char buf[4096];
   while (true) {
-    auto have = decoder.Next(type, payload);
+    std::string_view view;
+    auto have = decoder.Next(type, &view);
     ASSERT_TRUE(have.ok()) << have.status().ToString();
-    if (have.ValueOrDie()) return;
+    if (have.ValueOrDie()) {
+      payload->assign(view);
+      return;
+    }
     const ssize_t n = ::recv(fd.ValueOrDie().get(), buf, sizeof(buf), 0);
     ASSERT_GT(n, 0) << "server closed before answering the hello";
     decoder.Feed(buf, static_cast<size_t>(n));
@@ -473,7 +479,7 @@ TEST(PollutionServer, OversizedHelloLengthIsRejectedOnThePrefix) {
   FrameDecoder decoder;
   char buf[4096];
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   bool closed = false;
   while (!closed) {
     const ssize_t n = ::recv(fd.ValueOrDie().get(), buf, sizeof(buf), 0);
@@ -931,7 +937,7 @@ class RawSubscriber {
       }
       decoder.Feed(buf.data(), static_cast<size_t>(n));
       uint8_t type = 0;
-      std::string payload;
+      std::string_view payload;
       while (true) {
         auto next = decoder.Next(&type, &payload);
         ASSERT_TRUE(next.ok()) << next.status().ToString();
@@ -1142,7 +1148,7 @@ TEST(PollutionServer, DrainTellsAPendingHandshakeTheServerIsShuttingDown) {
   FrameDecoder decoder;
   char buf[4096];
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   while (true) {
     auto have = decoder.Next(&type, &payload);
     ASSERT_TRUE(have.ok()) << have.status().ToString();
@@ -1201,6 +1207,79 @@ TEST(PollutionServer, DestructorAbortsCleanly) {
 TEST(StreamClient, ConnectToClosedPortFails) {
   auto client = StreamClient::Connect("127.0.0.1", 1);
   EXPECT_FALSE(client.ok());
+}
+
+TEST(StreamClient, CorruptTupleFrameIsAttributedAndLatched) {
+  uint16_t port = 0;
+  auto listener = ListenTcp("127.0.0.1", 0, 1, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  SchemaPtr schema = FatSchema();
+  // A tuple of three values where the schema has two columns, followed
+  // by a well-formed tuple and an End frame: a client that skipped the
+  // corrupt frame would go on to yield the good one.
+  auto wide = Schema::Make({{"t", ValueType::kInt64},
+                            {"v", ValueType::kString},
+                            {"w", ValueType::kString}},
+                           "t");
+  ASSERT_TRUE(wide.ok());
+  Tuple corrupt(wide.ValueOrDie(), {Value(int64_t{1}), Value("a"), Value("b")});
+  Tuple good(schema, {Value(int64_t{2}), Value("c")});
+  std::string frames = EncodeSchemaFrame(*schema);
+  AppendTupleFrame(corrupt, &frames);
+  AppendTupleFrame(good, &frames);
+  frames += EncodeEndFrame(2);
+  // Fake server: read the hello, send the frames, then wait for the
+  // client to hang up. It owns the (non-blocking) listener, so a failed
+  // accept closes it and the client's Connect fails instead of hanging.
+  std::thread server([&, listen_fd = std::move(listener).ValueOrDie()] {
+    pollfd pfd{listen_fd.get(), POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 30000), 1) << "no client connected";
+    UniqueFd conn(::accept(listen_fd.get(), nullptr, nullptr));
+    ASSERT_GE(conn.get(), 0);
+    SetRecvTimeout(conn.get());
+    FrameDecoder decoder;
+    char buf[512];
+    uint8_t type = 0;
+    std::string_view payload;
+    while (true) {
+      auto have = decoder.Next(&type, &payload);
+      ASSERT_TRUE(have.ok()) << have.status().ToString();
+      if (have.ValueOrDie()) break;
+      const ssize_t n = ::recv(conn.get(), buf, sizeof(buf), 0);
+      ASSERT_GT(n, 0) << "client closed before its hello";
+      decoder.Feed(buf, static_cast<size_t>(n));
+    }
+    ASSERT_EQ(type, kFrameSubscribe);
+    ASSERT_EQ(::send(conn.get(), frames.data(), frames.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frames.size()));
+    while (::recv(conn.get(), buf, sizeof(buf), 0) > 0) {
+    }
+  });
+  // Checks stay non-fatal until the fake server is joined.
+  auto client = StreamClient::Connect("127.0.0.1", port, "fake");
+  if (!client.ok()) {
+    ADD_FAILURE() << client.status().ToString();
+    server.join();
+    return;
+  }
+  std::unique_ptr<StreamClient> stream = std::move(client).ValueOrDie();
+  Tuple tuple;
+  auto first = stream->Next(&tuple);
+  EXPECT_FALSE(first.ok());
+  EXPECT_NE(first.status().message().find("session 'fake' at 127.0.0.1:"),
+            std::string::npos)
+      << first.status().ToString();
+  EXPECT_NE(first.status().message().find("wire: tuple has 3 values"),
+            std::string::npos)
+      << first.status().ToString();
+  // The error is latched: the corrupt frame is not skipped, and the
+  // connection is closed rather than read again.
+  auto second = stream->Next(&tuple);
+  EXPECT_FALSE(second.ok());
+  EXPECT_EQ(second.status(), first.status());
+  EXPECT_EQ(stream->tuples_received(), 0u);
+  stream.reset();  // hang up on the fake server
+  server.join();
 }
 
 TEST(PollutionServer, RunErrorReachesSubscriberAndWait) {

@@ -7,6 +7,7 @@
 #include <initializer_list>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "stream/schema.h"
@@ -129,6 +130,13 @@ Tuple RandomTuple(Rng* rng, const SchemaPtr& schema) {
   return tuple;
 }
 
+/// A fresh in-place decode: DecodeTuplePayload into a new Tuple.
+Result<Tuple> DecodeTuple(std::string_view payload, const SchemaPtr& schema) {
+  Tuple tuple;
+  ICEWAFL_RETURN_NOT_OK(DecodeTuplePayload(payload, schema, &tuple));
+  return tuple;
+}
+
 void ExpectTuplesEqual(const Tuple& a, const Tuple& b) {
   EXPECT_EQ(a.id(), b.id());
   EXPECT_EQ(a.event_time(), b.event_time());
@@ -151,9 +159,9 @@ TEST(WirePrimitives, VarintRoundTripBoundaries) {
     std::string buf;
     AppendVarint(v, &buf);
     ByteReader reader(buf);
-    auto decoded = reader.Varint();
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded.ValueOrDie(), v);
+    uint64_t decoded = 0;
+    ASSERT_TRUE(reader.Varint(&decoded));
+    EXPECT_EQ(decoded, v);
     EXPECT_TRUE(reader.ExpectEnd().ok());
   }
 }
@@ -172,13 +180,14 @@ TEST(WirePrimitives, ZigzagIsInvolutive) {
 
 TEST(WirePrimitives, OverlongVarintRejected) {
   const std::string eleven(11, static_cast<char>(0x80));
+  uint64_t v = 0;
   ByteReader reader(eleven);
-  EXPECT_FALSE(reader.Varint().ok());
+  EXPECT_FALSE(reader.Varint(&v));
   // Ten continuation bytes with a final byte overflowing 64 bits.
   std::string overflow(9, static_cast<char>(0x80));
   overflow.push_back(0x02);
   ByteReader reader2(overflow);
-  EXPECT_FALSE(reader2.Varint().ok());
+  EXPECT_FALSE(reader2.Varint(&v));
 }
 
 TEST(WirePrimitives, NonCanonicalVarintRejected) {
@@ -200,18 +209,19 @@ TEST(WirePrimitives, NonCanonicalVarintRejected) {
   };
   for (const Fixture& f : kOverlong) {
     ByteReader reader(f.bytes);
-    auto result = reader.Varint();
-    ASSERT_FALSE(result.ok()) << f.what << " accepted";
-    EXPECT_NE(result.status().ToString().find("non-canonical varint"),
+    uint64_t v = 0;
+    ASSERT_FALSE(reader.Varint(&v)) << f.what << " accepted";
+    EXPECT_NE(reader.status().ToString().find("non-canonical varint"),
               std::string::npos)
-        << f.what << ": " << result.status().ToString();
+        << f.what << ": " << reader.status().ToString();
   }
   // 2^63 needs all ten bytes, so its only overlong spelling is eleven
   // bytes — rejected by the length cap before the canonicality check.
   std::string eleven_pow63(10, static_cast<char>(0x80));
   eleven_pow63.push_back(0x01);
   ByteReader reader_pow63(eleven_pow63);
-  EXPECT_FALSE(reader_pow63.Varint().ok());
+  uint64_t pow63 = 0;
+  EXPECT_FALSE(reader_pow63.Varint(&pow63));
   // The canonical spellings of the same values still decode.
   const std::pair<std::string, uint64_t> kCanonical[] = {
       {std::string(1, '\x00'), 0},
@@ -222,9 +232,9 @@ TEST(WirePrimitives, NonCanonicalVarintRejected) {
   };
   for (const auto& [bytes, want] : kCanonical) {
     ByteReader reader3(bytes);
-    auto result = reader3.Varint();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result.ValueOrDie(), want);
+    uint64_t got = 0;
+    ASSERT_TRUE(reader3.Varint(&got)) << reader3.status().ToString();
+    EXPECT_EQ(got, want);
   }
 }
 
@@ -261,7 +271,7 @@ TEST(WireProperty, FiveHundredSeedRoundTrip) {
     bool saw_schema = false, saw_end = false;
     while (true) {
       uint8_t type = 0;
-      std::string payload;
+      std::string_view payload;
       auto next = decoder.Next(&type, &payload);
       ASSERT_TRUE(next.ok()) << "seed " << seed << ": "
                              << next.status().ToString();
@@ -276,7 +286,7 @@ TEST(WireProperty, FiveHundredSeedRoundTrip) {
       if (type == kFrameSchema) {
         saw_schema = true;
       } else if (type == kFrameTuple) {
-        auto tuple = DecodeTuplePayload(payload, schema);
+        auto tuple = DecodeTuple(payload, schema);
         ASSERT_TRUE(tuple.ok()) << "seed " << seed << ": "
                                 << tuple.status().ToString();
         decoded.push_back(std::move(tuple).ValueOrDie());
@@ -358,12 +368,12 @@ void ExpectMatchesOracle(const Tuple& tuple, const SchemaPtr& schema) {
   FrameDecoder decoder;
   decoder.Feed(frame.data(), frame.size());
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   auto next = decoder.Next(&type, &payload);
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   ASSERT_TRUE(next.ValueOrDie());
   EXPECT_EQ(type, kFrameTuple);
-  auto decoded = DecodeTuplePayload(payload, schema);
+  auto decoded = DecodeTuple(payload, schema);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ExpectTuplesEqual(tuple, decoded.ValueOrDie());
 }
@@ -391,12 +401,12 @@ TEST(WireTupleFrame, MatchesOracleOverFiveHundredSeeds) {
     decoder.Feed(chunk.data(), chunk.size());
     for (const Tuple& want : tuples) {
       uint8_t type = 0;
-      std::string payload;
+      std::string_view payload;
       auto next = decoder.Next(&type, &payload);
       ASSERT_TRUE(next.ok()) << next.status().ToString();
       ASSERT_TRUE(next.ValueOrDie());
       ASSERT_EQ(type, kFrameTuple);
-      auto got = DecodeTuplePayload(payload, schema);
+      auto got = DecodeTuple(payload, schema);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ExpectTuplesEqual(want, got.ValueOrDie());
     }
@@ -476,6 +486,301 @@ TEST(WireTupleFrame, EdgeValuesMatchOracle) {
   }
 }
 
+// ---------------------------------------------------------------------
+// In-place tuple decode: DecodeTuplePayload writes through a cursor
+// ByteReader into the caller's Tuple. The Result-returning decoder it
+// replaced is kept here as the oracle: both must accept and reject the
+// same payloads with the same Status, and decode accepted ones to
+// bit-identical tuples.
+// ---------------------------------------------------------------------
+
+/// The former Result-returning payload reader.
+class OracleReader {
+ public:
+  explicit OracleReader(const std::string& buf)
+      : data_(reinterpret_cast<const uint8_t*>(buf.data())),
+        size_(buf.size()) {}
+
+  size_t remaining() const { return size_ - pos_; }
+
+  Result<uint8_t> U8() {
+    if (pos_ >= size_) return Status::ParseError("wire: truncated byte");
+    return data_[pos_++];
+  }
+
+  Result<uint64_t> Fixed64() {
+    if (size_ - pos_ < 8) return Status::ParseError("wire: truncated fixed64");
+    uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
+           << (8 * i);
+    }
+    pos_ += 8;
+    return v;
+  }
+
+  Result<uint64_t> Varint() {
+    uint64_t v = 0;
+    for (int i = 0; i < 10; ++i) {
+      if (pos_ >= size_) return Status::ParseError("wire: truncated varint");
+      const uint8_t byte = data_[pos_++];
+      if (i == 9 && (byte & 0xFE) != 0) {
+        return Status::ParseError("wire: varint overflows 64 bits");
+      }
+      v |= static_cast<uint64_t>(byte & 0x7F) << (7 * i);
+      if ((byte & 0x80) == 0) {
+        if (i > 0 && byte == 0) {
+          return Status::ParseError("wire: non-canonical varint");
+        }
+        return v;
+      }
+    }
+    return Status::ParseError("wire: varint too long");
+  }
+
+  Result<std::string> Bytes(size_t n) {
+    if (size_ - pos_ < n) return Status::ParseError("wire: truncated bytes");
+    std::string out(reinterpret_cast<const char*>(data_ + pos_), n);
+    pos_ += n;
+    return out;
+  }
+
+  Status ExpectEnd() const {
+    if (pos_ != size_) {
+      return Status::ParseError("wire: " + std::to_string(size_ - pos_) +
+                                " trailing payload byte(s)");
+    }
+    return Status::OK();
+  }
+
+ private:
+  const uint8_t* data_;
+  size_t size_;
+  size_t pos_ = 0;
+};
+
+Result<Value> OracleReadValue(OracleReader* reader) {
+  ICEWAFL_ASSIGN_OR_RETURN(uint8_t tag, reader->U8());
+  switch (static_cast<ValueType>(tag)) {
+    case ValueType::kNull:
+      return Value::Null();
+    case ValueType::kBool: {
+      ICEWAFL_ASSIGN_OR_RETURN(uint8_t b, reader->U8());
+      if (b > 1) return Status::ParseError("wire: bool byte not 0/1");
+      return Value(b == 1);
+    }
+    case ValueType::kInt64: {
+      ICEWAFL_ASSIGN_OR_RETURN(uint64_t bits, reader->Fixed64());
+      return Value(static_cast<int64_t>(bits));
+    }
+    case ValueType::kDouble: {
+      ICEWAFL_ASSIGN_OR_RETURN(uint64_t bits, reader->Fixed64());
+      double d = 0;
+      std::memcpy(&d, &bits, sizeof(d));
+      return Value(d);
+    }
+    case ValueType::kString: {
+      ICEWAFL_ASSIGN_OR_RETURN(uint64_t len, reader->Varint());
+      if (len > reader->remaining()) {
+        return Status::ParseError("wire: string length exceeds payload");
+      }
+      ICEWAFL_ASSIGN_OR_RETURN(std::string s,
+                               reader->Bytes(static_cast<size_t>(len)));
+      return Value(std::move(s));
+    }
+  }
+  return Status::ParseError("wire: unknown value tag " + std::to_string(tag));
+}
+
+/// The former Result-returning tuple decoder.
+Result<Tuple> OracleDecodeTuple(const std::string& payload,
+                                const SchemaPtr& schema) {
+  OracleReader reader(payload);
+  ICEWAFL_ASSIGN_OR_RETURN(uint64_t id, reader.Fixed64());
+  ICEWAFL_ASSIGN_OR_RETURN(uint64_t event_time, reader.Fixed64());
+  ICEWAFL_ASSIGN_OR_RETURN(uint64_t arrival_time, reader.Fixed64());
+  ICEWAFL_ASSIGN_OR_RETURN(uint64_t substream_zz, reader.Varint());
+  ICEWAFL_ASSIGN_OR_RETURN(uint64_t count, reader.Varint());
+  if (count != schema->num_attributes()) {
+    return Status::ParseError(
+        "wire: tuple has " + std::to_string(count) +
+        " values, schema expects " +
+        std::to_string(schema->num_attributes()));
+  }
+  std::vector<Value> values;
+  for (uint64_t i = 0; i < count; ++i) {
+    ICEWAFL_ASSIGN_OR_RETURN(Value v, OracleReadValue(&reader));
+    values.push_back(std::move(v));
+  }
+  ICEWAFL_RETURN_NOT_OK(reader.ExpectEnd());
+  Tuple tuple(schema, std::move(values));
+  tuple.set_id(id);
+  tuple.set_event_time(static_cast<Timestamp>(event_time));
+  tuple.set_arrival_time(static_cast<Timestamp>(arrival_time));
+  const int64_t substream = ZigzagDecode(substream_zz);
+  if (substream < INT32_MIN || substream > INT32_MAX) {
+    return Status::ParseError("wire: substream id out of range");
+  }
+  tuple.set_substream(static_cast<int>(substream));
+  return tuple;
+}
+
+/// Decodes `payload` with the oracle and in place into `*reused` (which
+/// carries whatever the previous call, accepted or not, left in it) and
+/// asserts the two agree.
+void ExpectDecodeAgreesWithOracle(const std::string& payload,
+                                  const SchemaPtr& schema, Tuple* reused) {
+  const Result<Tuple> want = OracleDecodeTuple(payload, schema);
+  const Status got = DecodeTuplePayload(payload, schema, reused);
+  ASSERT_EQ(got.ok(), want.ok())
+      << "in place: " << got.ToString()
+      << "; oracle: " << want.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got, want.status());
+    return;
+  }
+  EXPECT_EQ(reused->schema().get(), schema.get());
+  ExpectTuplesEqual(want.ValueOrDie(), *reused);
+}
+
+/// The payload itself, every proper prefix, and every single-byte
+/// mutation of it (three flip masks per byte).
+void SweepPayloadAgainstOracle(const std::string& payload,
+                               const SchemaPtr& schema, Tuple* reused) {
+  ExpectDecodeAgreesWithOracle(payload, schema, reused);
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    SCOPED_TRACE("prefix of " + std::to_string(cut) + " bytes");
+    ExpectDecodeAgreesWithOracle(payload.substr(0, cut), schema, reused);
+  }
+  for (size_t pos = 0; pos < payload.size(); ++pos) {
+    for (uint8_t flip : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
+      SCOPED_TRACE("byte " + std::to_string(pos) + " flip " +
+                   std::to_string(flip));
+      std::string mutated = payload;
+      mutated[pos] = static_cast<char>(mutated[pos] ^ flip);
+      ExpectDecodeAgreesWithOracle(mutated, schema, reused);
+    }
+  }
+}
+
+TEST(WireTupleDecode, AgreesWithOracleOverFiveHundredSeeds) {
+  Tuple reused;
+  for (uint64_t seed = 1; seed <= 500; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    SchemaPtr schema = RandomSchema(&rng);
+    const int count = static_cast<int>(rng.UniformInt(1, 3));
+    for (int i = 0; i < count; ++i) {
+      SweepPayloadAgainstOracle(EncodeTuplePayload(RandomTuple(&rng, schema)),
+                                schema, &reused);
+    }
+  }
+}
+
+TEST(WireTupleDecode, AgreesWithOracleOnEdgeValues) {
+  auto made = Schema::Make({{"t", ValueType::kInt64},
+                            {"d", ValueType::kDouble},
+                            {"b", ValueType::kBool},
+                            {"s", ValueType::kString}},
+                           "t");
+  ASSERT_TRUE(made.ok());
+  const SchemaPtr schema = made.ValueOrDie();
+  uint64_t payload_nan_bits = 0x7FF800000000BEEFull;
+  double payload_nan = 0;
+  std::memcpy(&payload_nan, &payload_nan_bits, sizeof(payload_nan));
+  const Value doubles[] = {
+      Value(-0.0), Value(std::numeric_limits<double>::quiet_NaN()),
+      Value(-std::numeric_limits<double>::quiet_NaN()),
+      Value(std::numeric_limits<double>::signaling_NaN()),
+      Value(payload_nan), Value(std::numeric_limits<double>::denorm_min()),
+      Value(std::numeric_limits<int64_t>::min()),
+      Value(std::numeric_limits<int64_t>::max()), Value::Null()};
+  const int substreams[] = {kNoSubstream, -64, -65,
+                            std::numeric_limits<int>::min(),
+                            std::numeric_limits<int>::max()};
+  Tuple reused;
+  uint64_t id = 0;
+  for (const Value& d : doubles) {
+    for (int substream : substreams) {
+      Tuple tuple(schema, {Value(std::numeric_limits<int64_t>::min()), d,
+                           Value(false), Value(std::string("\0x\xff", 3))});
+      tuple.set_id(~id++);
+      tuple.set_event_time(std::numeric_limits<Timestamp>::max());
+      tuple.set_arrival_time(std::numeric_limits<Timestamp>::min());
+      tuple.set_substream(substream);
+      SweepPayloadAgainstOracle(EncodeTuplePayload(tuple), schema, &reused);
+    }
+  }
+  // Substream ids just outside int32, which no encoder produces.
+  for (int64_t substream : {int64_t{INT32_MAX} + 1, int64_t{INT32_MIN} - 1}) {
+    std::string payload;
+    AppendFixed64(1, &payload);
+    AppendFixed64(2, &payload);
+    AppendFixed64(3, &payload);
+    AppendVarint(ZigzagEncode(substream), &payload);
+    AppendVarint(schema->num_attributes(), &payload);
+    payload.append(schema->num_attributes(),
+                   static_cast<char>(ValueType::kNull));
+    SweepPayloadAgainstOracle(payload, schema, &reused);
+  }
+}
+
+TEST(WireTupleDecode, ReusedTupleMatchesFreshDecodes) {
+  auto narrow =
+      Schema::Make({{"t", ValueType::kInt64}, {"x", ValueType::kString}}, "t")
+          .ValueOrDie();
+  auto wide = Schema::Make({{"t", ValueType::kInt64},
+                            {"x", ValueType::kString},
+                            {"y", ValueType::kDouble}},
+                           "t")
+                  .ValueOrDie();
+  const std::string long_a(100, 'a');
+  const std::string long_b(90, 'b');
+  // Column x changes type string -> null -> double -> bool -> string
+  // while the schema pointer switches narrow -> wide -> narrow.
+  std::vector<Tuple> frames;
+  frames.emplace_back(narrow, std::vector<Value>{Value(1), Value(long_a)});
+  frames.emplace_back(narrow, std::vector<Value>{Value(2), Value::Null()});
+  frames.emplace_back(narrow, std::vector<Value>{Value(3), Value(2.5)});
+  frames.emplace_back(wide,
+                      std::vector<Value>{Value(4), Value(true), Value(-0.0)});
+  frames.emplace_back(wide, std::vector<Value>{Value(5), Value(long_a),
+                                               Value::Null()});
+  frames.emplace_back(wide, std::vector<Value>{Value(6), Value(long_b),
+                                               Value(7.0)});
+  frames.emplace_back(narrow, std::vector<Value>{Value(7), Value("short")});
+  for (size_t i = 0; i < frames.size(); ++i) {
+    frames[i].set_id(100 + i);
+    frames[i].set_event_time(static_cast<Timestamp>(i));
+    frames[i].set_arrival_time(static_cast<Timestamp>(2 * i));
+    frames[i].set_substream(static_cast<int>(i) - 3);
+  }
+
+  // Start from a moved-from Tuple, as `tail` does after pushing the
+  // previous one into its output vector.
+  Tuple reused(wide, {Value(0), Value("seed"), Value(1.0)});
+  Tuple kept = std::move(reused);
+  const char* long_buffer = nullptr;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    SCOPED_TRACE("frame " + std::to_string(i));
+    const std::string payload = EncodeTuplePayload(frames[i]);
+    const SchemaPtr& schema = frames[i].schema();
+    ASSERT_TRUE(DecodeTuplePayload(payload, schema, &reused).ok());
+    auto fresh = DecodeTuple(payload, schema);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_EQ(reused.schema().get(), schema.get());
+    ExpectTuplesEqual(fresh.ValueOrDie(), reused);
+    ExpectTuplesEqual(frames[i], reused);
+    // Two long strings in a row in the same column share one buffer:
+    // the in-place decode assigns into the string it overwrites.
+    if (i == 4) long_buffer = reused.value(1).AsString().data();
+    if (i == 5) {
+      EXPECT_EQ(reused.value(1).AsString().data(), long_buffer);
+    }
+  }
+  EXPECT_EQ(kept.num_values(), 3u);
+}
+
 TEST(WireFuzz, DecoderPayloadCapRejectsOnThePrefix) {
   // A capped decoder (the server's handshake) rejects a length above its
   // cap as soon as the length prefix is complete — no payload byte has
@@ -486,7 +791,7 @@ TEST(WireFuzz, DecoderPayloadCapRejectsOnThePrefix) {
   FrameDecoder capped(kMaxHelloPayload);
   capped.Feed(frame.data(), frame.size());
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   auto next = capped.Next(&type, &payload);
   ASSERT_FALSE(next.ok());
   EXPECT_NE(next.status().message().find("exceeds limit of 1024"),
@@ -533,7 +838,7 @@ TEST(WireFuzz, EveryFramePrefixWaitsForMoreBytes) {
     FrameDecoder decoder;
     decoder.Feed(frame.data(), cut);
     uint8_t type = 0;
-    std::string payload;
+    std::string_view payload;
     auto next = decoder.Next(&type, &payload);
     ASSERT_TRUE(next.ok()) << "prefix of " << cut << " bytes errored: "
                            << next.status().ToString();
@@ -553,7 +858,7 @@ TEST(WireFuzz, TruncatedPayloadsReturnStatus) {
     EXPECT_FALSE(result.ok()) << "schema prefix " << cut << " accepted";
   }
   for (size_t cut = 0; cut < tuple_payload.size(); ++cut) {
-    auto result = DecodeTuplePayload(tuple_payload.substr(0, cut), schema);
+    auto result = DecodeTuple(tuple_payload.substr(0, cut), schema);
     EXPECT_FALSE(result.ok()) << "tuple prefix " << cut << " accepted";
   }
 }
@@ -569,7 +874,7 @@ TEST(WireFuzz, OversizedFrameLengthRejectedBeforeAllocation) {
   FrameDecoder decoder;
   decoder.Feed(frame.data(), frame.size());
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   EXPECT_FALSE(decoder.Next(&type, &payload).ok());
 }
 
@@ -581,7 +886,7 @@ TEST(WireFuzz, OverlongFrameLengthVarintRejected) {
   FrameDecoder decoder;
   decoder.Feed(frame.data(), frame.size());
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   EXPECT_FALSE(decoder.Next(&type, &payload).ok());
 }
 
@@ -597,7 +902,7 @@ TEST(WireFuzz, NonCanonicalFrameLengthVarintRejected) {
   FrameDecoder decoder;
   decoder.Feed(frame.data(), frame.size());
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   auto next = decoder.Next(&type, &payload);
   ASSERT_FALSE(next.ok());
   EXPECT_NE(next.status().ToString().find("non-canonical varint"),
@@ -614,7 +919,7 @@ TEST(WireFuzz, CorruptTuplePayloadsReturnStatus) {
   {
     std::string bad = good;
     bad[8 * 3 + 2] = static_cast<char>(0xEE);  // first value's type tag area
-    auto result = DecodeTuplePayload(bad, schema);
+    auto result = DecodeTuple(bad, schema);
     // Either a tag error or a downstream length error — must not crash
     // and must not silently succeed with different bytes unless the
     // mutation happened to hit a string byte. Round-trip what decodes.
@@ -630,7 +935,7 @@ TEST(WireFuzz, CorruptTuplePayloadsReturnStatus) {
     AppendFixed64(3, &bad);
     AppendVarint(ZigzagEncode(kNoSubstream), &bad);
     AppendVarint(schema->num_attributes() + 1, &bad);
-    EXPECT_FALSE(DecodeTuplePayload(bad, schema).ok());
+    EXPECT_FALSE(DecodeTuple(bad, schema).ok());
   }
   // Bool byte out of domain.
   {
@@ -644,7 +949,7 @@ TEST(WireFuzz, CorruptTuplePayloadsReturnStatus) {
       bad.push_back(static_cast<char>(ValueType::kBool));
       bad.push_back(2);  // not 0/1
     }
-    EXPECT_FALSE(DecodeTuplePayload(bad, schema).ok());
+    EXPECT_FALSE(DecodeTuple(bad, schema).ok());
   }
   // String length pointing past the payload end.
   {
@@ -656,12 +961,12 @@ TEST(WireFuzz, CorruptTuplePayloadsReturnStatus) {
     AppendVarint(schema->num_attributes(), &bad);
     bad.push_back(static_cast<char>(ValueType::kString));
     AppendVarint(1 << 30, &bad);
-    EXPECT_FALSE(DecodeTuplePayload(bad, schema).ok());
+    EXPECT_FALSE(DecodeTuple(bad, schema).ok());
   }
   // Trailing garbage after a well-formed tuple.
   {
     std::string bad = good + "garbage";
-    EXPECT_FALSE(DecodeTuplePayload(bad, schema).ok());
+    EXPECT_FALSE(DecodeTuple(bad, schema).ok());
   }
 }
 
@@ -712,7 +1017,7 @@ TEST(WireFuzz, CorruptSchemaPayloadsReturnStatus) {
     }
     (void)DecodeSchemaPayload(soup);
     SchemaPtr schema = RandomSchema(&rng);
-    (void)DecodeTuplePayload(soup, schema);
+    (void)DecodeTuple(soup, schema);
   }
 }
 
@@ -900,7 +1205,7 @@ TEST(WireFrames, SubscribeRoundTrip) {
     FrameDecoder decoder;
     decoder.Feed(frame.data(), frame.size());
     uint8_t type = 0;
-    std::string payload;
+    std::string_view payload;
     auto next = decoder.Next(&type, &payload);
     ASSERT_TRUE(next.ok());
     ASSERT_TRUE(next.ValueOrDie());
@@ -963,7 +1268,7 @@ TEST(WireFrames, ErrorFrameCarriesMessage) {
   FrameDecoder decoder;
   decoder.Feed(frame.data(), frame.size());
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   auto next = decoder.Next(&type, &payload);
   ASSERT_TRUE(next.ok());
   ASSERT_TRUE(next.ValueOrDie());

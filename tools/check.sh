@@ -277,8 +277,14 @@ for key in ("tuple_encode_seconds", "batch_encode_seconds",
             "tuple_wire_bytes", "batch_wire_bytes"):
     assert wire[key] > 0, key
 assert wire["encode_speedup"] >= 1.0, wire["encode_speedup"]
+# Decoding frame views into one reused Tuple keeps a tuple frame about
+# as cheap to read as to write (about 1x); 2.5x leaves room for timing
+# noise on a shared host.
+ratio = wire["tuple_decode_seconds"] / wire["tuple_encode_seconds"]
+assert ratio <= 2.5, f"tuple decode {ratio:.2f}x encode (limit 2.5x)"
 print(f"bench: BENCH_wire.json OK "
-      f"(batch encode {wire['encode_speedup']:.2f}x)")
+      f"(batch encode {wire['encode_speedup']:.2f}x, "
+      f"tuple decode/encode {ratio:.2f}x)")
 EOF
   else
     grep -q '"encode_speedup"' BENCH_wire.json
