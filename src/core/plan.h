@@ -58,7 +58,8 @@ struct PlanSnapshot {
   Timestamp stream_start = 0;
   Timestamp stream_end = 0;
   /// Serving pace in rows per second; 0 streams unpaced. Pacing never
-  /// changes the produced bytes, only their timing.
+  /// changes the produced bytes, only their timing (and, at parallelism
+  /// 1, the runtime batch size: PlanBatchRows).
   double tuples_per_sec = 0.0;
   /// Optional cleaning document (clean::RulesFromJson shape) applied to
   /// the polluted stream of every segment — null serves uncleaned. Kept
@@ -107,6 +108,16 @@ Result<std::shared_ptr<PlanSnapshot>> MakePlanSnapshot(
     std::shared_ptr<const TupleVector> clean, PollutionPipeline pipeline,
     uint64_t seed, int parallelism, Timestamp stream_start,
     Timestamp stream_end, double tuples_per_sec = 0.0);
+
+/// \brief The runtime batch size every run of `plan` uses, served or
+/// offline (DESIGN.md section 5). A paced plan at parallelism 1 gets
+/// the rows its pace fills in about 2 ms, `ceil(tuples_per_sec *
+/// 0.002)` clamped to [1, 256], so a row waits at most that long for
+/// its batch to leave the source. Unpaced plans and plans above
+/// parallelism 1 keep the runtime default of 256: at P > 1 the sink
+/// rotates over batches, so there the batch size is part of the output
+/// and pacing must not change it.
+size_t PlanBatchRows(const PlanSnapshot& plan);
 
 /// \brief Deep-copies `plan` into a fresh unpublished snapshot (the
 /// pipeline is Clone()d — bound state shared, mutable state fresh).

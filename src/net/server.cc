@@ -85,50 +85,30 @@ class PollutionServer::FanoutSink : public Sink {
     }
   }
 
-  // A single tuple is a batch of one through the same fan-out path.
+  // A single tuple is a batch of one through the same fan-out path; for
+  // batch subscribers it joins the pending Batch frame, which fills to
+  // batch_rows.
   Status Write(const Tuple& tuple) override { return Write(Tuple(tuple)); }
 
   Status Write(Tuple&& tuple) override {
     TupleVector one;
     one.push_back(std::move(tuple));
-    return WriteBatch(&one);
+    return FanOut(&one);
   }
 
+  /// One runtime batch: its Batch frames end at its boundary (and still
+  /// split at batch_rows), so a batch subscriber never waits for rows
+  /// of the next runtime batch.
   Status WriteBatch(TupleVector* batch) override {
-    if (batch->empty()) return Status::OK();
-    // Two short stop-flag probes per batch, taken one after the other
-    // (never nested): the server-wide flag under the registry lock, the
-    // session flag under its own.
-    {
-      MutexLock lock(&server_->mu_);
-      if (server_->stop_requested_) {
-        return Status::IOError("server stopping");
-      }
-    }
-    {
-      MutexLock lock(&session_->mu);
-      if (session_->stop_requested) {
-        return Status::IOError("session '" + session_->id + "' stopped");
-      }
-    }
-    if (has_tuple_) {
-      FanOutTupleFrames(batch->data(), batch->size(), /*to_batch=*/false);
-    }
-    if (has_batch_) {
-      for (Tuple& t : *batch) {
-        pending_.push_back(std::move(t));
-        if (pending_.size() >= batch_rows_) ICEWAFL_RETURN_NOT_OK(FlushBatch());
-      }
-    }
-    count_ += batch->size();
-    return Status::OK();
+    ICEWAFL_RETURN_NOT_OK(FanOut(batch));
+    return FlushBatch();
   }
 
   /// \brief Fans out the buffered rows to batch subscribers as one
   /// encode-once Batch frame. Falls back to tuple frames when the rows
   /// cannot be columnarized (mixed schemas) or the batch payload would
   /// exceed the frame limit — subscribers accept both kinds. RunSession
-  /// calls this once more for the trailing partial batch.
+  /// calls this once more for the rows of trailing per-tuple writes.
   Status FlushBatch() {
     if (pending_.empty()) return Status::OK();
     std::shared_ptr<const std::string> frame;
@@ -174,6 +154,39 @@ class PollutionServer::FanoutSink : public Sink {
   bool open(size_t i) const { return open_[i]; }
 
  private:
+  /// Fans `batch` out: tuple frames to tuple subscribers, rows into the
+  /// pending Batch frame (flushed whenever it reaches batch_rows) for
+  /// batch subscribers.
+  Status FanOut(TupleVector* batch) {
+    if (batch->empty()) return Status::OK();
+    // Two short stop-flag probes per batch, taken one after the other
+    // (never nested): the server-wide flag under the registry lock, the
+    // session flag under its own.
+    {
+      MutexLock lock(&server_->mu_);
+      if (server_->stop_requested_) {
+        return Status::IOError("server stopping");
+      }
+    }
+    {
+      MutexLock lock(&session_->mu);
+      if (session_->stop_requested) {
+        return Status::IOError("session '" + session_->id + "' stopped");
+      }
+    }
+    if (has_tuple_) {
+      FanOutTupleFrames(batch->data(), batch->size(), /*to_batch=*/false);
+    }
+    if (has_batch_) {
+      for (Tuple& t : *batch) {
+        pending_.push_back(std::move(t));
+        if (pending_.size() >= batch_rows_) ICEWAFL_RETURN_NOT_OK(FlushBatch());
+      }
+    }
+    count_ += batch->size();
+    return Status::OK();
+  }
+
   /// Encodes rows [0, n) as tuple frames into shared chunks of at most
   /// queue_capacity frames (so one chunk always fits an empty queue and
   /// the per-subscriber bound holds exactly), and enqueues each chunk
@@ -656,7 +669,7 @@ void PollutionServer::RunSession(const SessionPtr& session,
     };
   }
   Status status = session->fn(ctx, &sink);
-  // Batch subscribers still hold a trailing partial batch.
+  // Rows of per-tuple writes may still wait in a partial Batch frame.
   if (status.ok()) status = sink.FlushBatch();
 
   // Terminate every participating stream: End on success, Error on a

@@ -67,10 +67,12 @@ struct ServerOptions {
   /// chunk weighs its frame count, so the bound is exact in frames. A
   /// Batch frame, an End or an Error frame weighs 1.
   size_t queue_capacity = 256;
-  /// Tuples per Batch frame for subscribers that negotiated
-  /// kCapBatchFrames in their Subscribe hello (must be >= 1). Tuple
-  /// subscribers are unaffected; a trailing partial batch is flushed
-  /// before the End frame.
+  /// Most tuples per Batch frame for subscribers that negotiated
+  /// kCapBatchFrames in their Subscribe hello (must be >= 1). A frame
+  /// also ends with each Sink::WriteBatch (one runtime batch); rows of
+  /// per-tuple Sink::Write calls fill frames to this size, and a
+  /// trailing partial frame is flushed before the End frame. Tuple
+  /// subscribers are unaffected.
   size_t batch_rows = 256;
   SlowConsumerPolicy slow_consumer = SlowConsumerPolicy::kBlock;
   /// Optional metrics sink (not owned; may be nullptr).

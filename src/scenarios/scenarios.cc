@@ -1,5 +1,6 @@
 #include "scenarios/scenarios.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <optional>
@@ -219,6 +220,33 @@ Result<ResolvedScenario> ResolveScenario(const std::string& name,
   return scenario;
 }
 
+namespace {
+
+/// StreamPipelineToSink on a caller-configured runtime: the plan runner
+/// below sets the batch size, StreamPipelineToSink the observers.
+Status RunPipelineToSink(Source* source, const PollutionPipeline& prototype,
+                         uint64_t seed, const RuntimeOptions& options,
+                         Sink* sink, RuntimeStats* stats,
+                         Timestamp stream_start, Timestamp stream_end) {
+  PipelineRuntime runtime(options);
+  ICEWAFL_RETURN_NOT_OK(runtime.Run(
+      source,
+      [&](int worker) {
+        OperatorChain chain;
+        auto polluter = std::make_unique<PolluterOperator>(
+            prototype.Clone(), seed + static_cast<uint64_t>(worker),
+            stream_start, stream_end);
+        polluter->BindMetrics(options.metrics);
+        chain.push_back(std::move(polluter));
+        return chain;
+      },
+      sink));
+  if (stats != nullptr) *stats = runtime.stats();
+  return Status::OK();
+}
+
+}  // namespace
+
 Status StreamPipelineToSink(Source* source, const PollutionPipeline& prototype,
                             uint64_t seed, int parallelism, Sink* sink,
                             RuntimeStats* stats, obs::MetricRegistry* metrics,
@@ -228,21 +256,8 @@ Status StreamPipelineToSink(Source* source, const PollutionPipeline& prototype,
   options.parallelism = parallelism < 1 ? 1 : parallelism;
   options.metrics = metrics;
   options.trace = trace;
-  PipelineRuntime runtime(options);
-  ICEWAFL_RETURN_NOT_OK(runtime.Run(
-      source,
-      [&](int worker) {
-        OperatorChain chain;
-        auto polluter = std::make_unique<PolluterOperator>(
-            prototype.Clone(), seed + static_cast<uint64_t>(worker),
-            stream_start, stream_end);
-        polluter->BindMetrics(metrics);
-        chain.push_back(std::move(polluter));
-        return chain;
-      },
-      sink));
-  if (stats != nullptr) *stats = runtime.stats();
-  return Status::OK();
+  return RunPipelineToSink(source, prototype, seed, options, sink, stats,
+                           stream_start, stream_end);
 }
 
 Result<TupleVector> ApplyPipelineStreaming(
@@ -283,7 +298,9 @@ class PlanSegmentSource : public Source {
       : plan_(std::move(plan)),
         offset_(offset),
         pos_(offset),
-        latest_(std::move(latest)) {}
+        latest_(std::move(latest)),
+        pace_rows_(PlanBatchRows(*plan_) *
+                   static_cast<uint64_t>(std::max(1, plan_->parallelism))) {}
 
   SchemaPtr schema() const override { return plan_->schema; }
 
@@ -298,16 +315,19 @@ class PlanSegmentSource : public Source {
         return false;
       }
     }
-    if (plan_->tuples_per_sec > 0) {
-      if (consumed_ == 0) {
-        segment_start_ = std::chrono::steady_clock::now();
-      } else {
-        std::this_thread::sleep_until(
-            segment_start_ +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(
-                    static_cast<double>(consumed_) / plan_->tuples_per_sec)));
-      }
+    if (plan_->tuples_per_sec > 0 && consumed_ % pace_rows_ == 0) {
+      if (consumed_ == 0) segment_start_ = std::chrono::steady_clock::now();
+      // One sleep per pace group (one runtime batch per worker), until
+      // the due time of the group's last row: its batches cannot leave
+      // the source before that row anyway, so the group departs when a
+      // sleep per row would have let it.
+      const uint64_t last =
+          consumed_ + std::min<uint64_t>(pace_rows_, clean.size() - pos_) - 1;
+      std::this_thread::sleep_until(
+          segment_start_ +
+          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+              std::chrono::duration<double>(static_cast<double>(last) /
+                                            plan_->tuples_per_sec)));
     }
     *out = clean[pos_];
     ++pos_;
@@ -332,6 +352,8 @@ class PlanSegmentSource : public Source {
   uint64_t offset_;
   uint64_t pos_;
   std::function<PlanPtr()> latest_;
+  /// Rows per pacing sleep: PlanBatchRows times parallelism.
+  uint64_t pace_rows_;
   uint64_t consumed_ = 0;
   PlanPtr cutover_;
   std::chrono::steady_clock::time_point segment_start_{};
@@ -382,6 +404,28 @@ class CleaningSink : public Sink {
   TupleVector cleaned_;
 };
 
+/// One plan segment, served or offline: `source` through `plan`'s
+/// pipeline at the plan's batch size (PlanBatchRows), then through the
+/// plan's cleaner when it has one, into `sink`. The cleaner is compiled
+/// fresh per segment: its history never crosses a cutover, so each
+/// served segment replays offline byte-identically.
+Status RunPlanSegment(const PlanSnapshot& plan, Source* source, Sink* sink) {
+  clean::CleaningRules rules;
+  std::optional<CleaningSink> cleaning;
+  if (!plan.cleaner.is_null()) {
+    ICEWAFL_ASSIGN_OR_RETURN(rules,
+                             clean::RulesFromJson(plan.cleaner, plan.schema));
+    cleaning.emplace(rules, sink);
+    sink = &cleaning.value();
+  }
+  RuntimeOptions options;
+  options.parallelism = std::max(1, plan.parallelism);
+  options.batch_size = PlanBatchRows(plan);
+  return RunPipelineToSink(source, plan.pipeline, plan.seed, options, sink,
+                           /*stats=*/nullptr, plan.stream_start,
+                           plan.stream_end);
+}
+
 }  // namespace
 
 Result<std::shared_ptr<PlanSnapshot>> BuildScenarioPlan(
@@ -423,21 +467,7 @@ Status ServePlanToSink(const PlanContext& ctx, Sink* sink) {
       ctx.on_segment(PlanSegment{plan->version, offset});
     }
     PlanSegmentSource source(plan, offset, ctx.latest);
-    Sink* segment_sink = sink;
-    std::optional<CleaningSink> cleaning;
-    clean::CleaningRules rules;
-    if (!plan->cleaner.is_null()) {
-      // Compiled fresh per segment: cleaner history never crosses a
-      // cutover, so each segment replays offline byte-identically.
-      ICEWAFL_ASSIGN_OR_RETURN(
-          rules, clean::RulesFromJson(plan->cleaner, plan->schema));
-      cleaning.emplace(rules, sink);
-      segment_sink = &cleaning.value();
-    }
-    ICEWAFL_RETURN_NOT_OK(StreamPipelineToSink(
-        &source, plan->pipeline, plan->seed, plan->parallelism, segment_sink,
-        /*stats=*/nullptr, /*metrics=*/nullptr, /*trace=*/nullptr,
-        plan->stream_start, plan->stream_end));
+    ICEWAFL_RETURN_NOT_OK(RunPlanSegment(*plan, &source, sink));
     offset += source.consumed();
     if (source.cutover() == nullptr || offset >= plan->clean->size()) {
       return Status::OK();  // stream end (under whichever plan was last)
@@ -463,24 +493,9 @@ Result<TupleVector> RunPlanSegmentOffline(const PlanSnapshot& plan,
   TupleVector slice(clean.begin() + static_cast<ptrdiff_t>(start_row),
                     clean.begin() + static_cast<ptrdiff_t>(end_row));
   VectorSource source(plan.schema, std::move(slice));
-  if (plan.cleaner.is_null()) {
-    return ApplyPipelineStreaming(&source, plan.pipeline, plan.seed,
-                                  plan.parallelism, /*stats=*/nullptr,
-                                  /*metrics=*/nullptr, /*trace=*/nullptr,
-                                  plan.stream_start, plan.stream_end);
-  }
-  // Mirror the serving path: pollute the slice, then clean it through a
-  // fresh sequential kAll operator (exactly what CleaningSink does per
-  // served segment).
-  ICEWAFL_ASSIGN_OR_RETURN(clean::CleaningRules rules,
-                           clean::RulesFromJson(plan.cleaner, plan.schema));
-  VectorSink cleaned;
-  CleaningSink cleaning(rules, &cleaned);
-  ICEWAFL_RETURN_NOT_OK(StreamPipelineToSink(
-      &source, plan.pipeline, plan.seed, plan.parallelism, &cleaning,
-      /*stats=*/nullptr, /*metrics=*/nullptr, /*trace=*/nullptr,
-      plan.stream_start, plan.stream_end));
-  return cleaned.TakeTuples();
+  VectorSink sink;
+  ICEWAFL_RETURN_NOT_OK(RunPlanSegment(plan, &source, &sink));
+  return sink.TakeTuples();
 }
 
 Status AnalyzeScenariosOrDie() {

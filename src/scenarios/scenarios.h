@@ -195,7 +195,8 @@ Status ServePlanToSink(const PlanContext& ctx, Sink* sink);
 
 /// \brief Offline twin of one ServePlanToSink segment: runs `plan` over
 /// its clean rows [start_row, end_row) with the plan's seed,
-/// parallelism, and full-stream bounds. Concatenating the outputs for a
+/// parallelism, batch size (PlanBatchRows), cleaner, and full-stream
+/// bounds. Concatenating the outputs for a
 /// run's recorded segments reproduces the served stream byte-for-byte.
 Result<TupleVector> RunPlanSegmentOffline(const PlanSnapshot& plan,
                                           uint64_t start_row,

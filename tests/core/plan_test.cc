@@ -124,5 +124,27 @@ TEST(PlanSnapshotTest, CloneIsDeepAndUnpublished) {
   EXPECT_EQ(plan.ValueOrDie()->tuples_per_sec, 0.0);
 }
 
+TEST(PlanSnapshotTest, BatchRowsFollowThePaceAtParallelismOne) {
+  // Rows a paced P=1 plan fills in 2 ms, clamped to [1, 256]; unpaced
+  // plans and P > 1 plans keep the runtime default.
+  struct Case {
+    double tuples_per_sec;
+    int parallelism;
+    size_t rows;
+  };
+  const Case cases[] = {
+      {0.0, 1, 256},    {20000.0, 1, 40}, {1500.0, 1, 3},
+      {1e9, 1, 256},    {0.001, 1, 1},    {20000.0, 2, 256},
+      {128000.0, 1, 256}, {50.0, 1, 1},   {0.0, 4, 256},
+  };
+  PlanSnapshot plan;
+  for (const Case& c : cases) {
+    plan.tuples_per_sec = c.tuples_per_sec;
+    plan.parallelism = c.parallelism;
+    EXPECT_EQ(PlanBatchRows(plan), c.rows)
+        << c.tuples_per_sec << " rows/s at P=" << c.parallelism;
+  }
+}
+
 }  // namespace
 }  // namespace icewafl

@@ -133,6 +133,71 @@ TEST(PlanSwap, MidRunCutoverIsByteIdenticalToSegmentConcatenation) {
       << prom;
 }
 
+TEST(PlanSwap, SetRateCutoverChangesTheBatchSizeAndKeepsTheBytes) {
+  // set_rate at a cutover: 1500 rows/s batches 3 rows, 20000 rows/s
+  // batches 40 (PlanBatchRows). Each segment runs at its own plan's
+  // batch size, served and offline alike, so the concatenation of the
+  // offline segments is still the served stream.
+  std::shared_ptr<PlanSnapshot> v1 =
+      ScenarioPlan("random_temporal", 42, /*tuples_per_sec=*/1500.0);
+  ASSERT_NE(v1, nullptr);
+  PollutionServer server;
+  SessionOptions options;
+  options.max_runs = 1;
+  options.plan = v1;
+  ASSERT_TRUE(server
+                  .AddSession("live", nullptr, scenarios::ServePlanToSink,
+                              std::move(options))
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  auto client = StreamClient::Connect("127.0.0.1", server.port(), "live");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  WaitForState(server, "live", "running");
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  ASSERT_TRUE(server
+                  .UpdateSession("live",
+                                 [](PlanSnapshot* next) {
+                                   next->tuples_per_sec = 20000.0;
+                                 })
+                  .ok());
+  auto v2 = server.session_plan("live");
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  EXPECT_EQ(PlanBatchRows(*v1), 3u);
+  EXPECT_EQ(PlanBatchRows(*v2.ValueOrDie()), 40u);
+
+  TupleVector received;
+  Tuple tuple;
+  while (true) {
+    auto next = client.ValueOrDie()->Next(&tuple);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    if (!next.ValueOrDie()) break;
+    received.push_back(std::move(tuple));
+  }
+  EXPECT_TRUE(server.Wait().ok());
+
+  auto info = server.session_info("live");
+  ASSERT_TRUE(info.ok());
+  const std::vector<PlanSegment>& segments = info.ValueOrDie().segments;
+  ASSERT_EQ(segments.size(), 2u)
+      << "the rate change must have landed mid-run (pacing guarantees it)";
+  EXPECT_EQ(segments[1].version, 2u);
+  TupleVector expected;
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const PlanSnapshot& plan =
+        segments[i].version == 1 ? *v1 : *v2.ValueOrDie();
+    const uint64_t end = i + 1 < segments.size() ? segments[i + 1].start_row
+                                                 : plan.clean->size();
+    auto part =
+        scenarios::RunPlanSegmentOffline(plan, segments[i].start_row, end);
+    ASSERT_TRUE(part.ok()) << part.status().ToString();
+    for (Tuple& t : part.ValueOrDie()) expected.push_back(std::move(t));
+  }
+  ASSERT_EQ(received.size(), expected.size());
+  EXPECT_EQ(ToCsvString(v1->schema, received),
+            ToCsvString(v1->schema, expected));
+}
+
 // ---------------------------------------------------------------------
 // Swap semantics around the session lifecycle.
 // ---------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/plan.h"
 #include "io/csv.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -1317,6 +1318,172 @@ TEST(PollutionServer, RunErrorReachesSubscriberAndWait) {
   EXPECT_FALSE(wait_status.ok());
   EXPECT_NE(wait_status.ToString().find("polluter exploded"),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Paced plans (DESIGN.md section 5): at parallelism 1 the runtime batch
+// follows the pace (PlanBatchRows), the source sleeps once per batch,
+// and Batch frames end with each runtime batch. None of it changes a
+// byte of the served stream.
+// ---------------------------------------------------------------------
+
+std::shared_ptr<PlanSnapshot> ScenarioPlan(const std::string& name,
+                                           uint64_t seed, int parallelism,
+                                           double tuples_per_sec) {
+  auto plan = scenarios::BuildScenarioPlan(name, seed, parallelism,
+                                           tuples_per_sec);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  return plan.ok() ? plan.ValueOrDie() : nullptr;
+}
+
+std::string OfflinePlanCsv(const PlanSnapshot& plan) {
+  auto rows = scenarios::RunPlanSegmentOffline(plan, 0, plan.clean->size());
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  return rows.ok() ? ToCsvString(plan.schema, rows.ValueOrDie()) : "";
+}
+
+struct ServedPlan {
+  std::string csv;
+  uint64_t batches_sent = 0;
+};
+
+/// Serves one run of `plan` through `fn` to one subscriber (Batch
+/// frames when `batch_frames`); returns its CSV and the session's
+/// icewafl_server_batches_sent_total.
+ServedPlan ServePlanOnce(
+    std::shared_ptr<PlanSnapshot> plan, bool batch_frames,
+    PollutionServer::SessionFn fn = scenarios::ServePlanToSink,
+    size_t batch_rows = ServerOptions{}.batch_rows) {
+  ServedPlan served;
+  obs::MetricRegistry registry;
+  ServerOptions options;
+  options.metrics = &registry;
+  options.batch_rows = batch_rows;
+  PollutionServer server(options);
+  Status added = server.AddSession("paced", nullptr, std::move(fn),
+                                   {.max_runs = 1, .plan = std::move(plan)});
+  EXPECT_TRUE(added.ok()) << added.ToString();
+  EXPECT_TRUE(server.Start().ok());
+  auto client = StreamClient::Connect("127.0.0.1", server.port(), "paced",
+                                      batch_frames ? kCapBatchFrames : 0);
+  EXPECT_TRUE(client.ok()) << client.status().ToString();
+  if (!client.ok()) return served;
+  TupleVector tuples;
+  Tuple tuple;
+  while (true) {
+    auto next = client.ValueOrDie()->Next(&tuple);
+    EXPECT_TRUE(next.ok()) << next.status().ToString();
+    if (!next.ok() || !next.ValueOrDie()) break;
+    tuples.push_back(std::move(tuple));
+  }
+  EXPECT_TRUE(server.Wait().ok());
+  served.csv = ToCsvString(client.ValueOrDie()->schema(), tuples);
+  served.batches_sent = registry
+                            .GetCounter("icewafl_server_batches_sent_total",
+                                        {{"session", "paced"}})
+                            ->value();
+  return served;
+}
+
+TEST(PollutionServer, PacedAndUnpacedPlansServeTheOfflineBytes) {
+  for (int parallelism : {1, 2}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    auto paced = ScenarioPlan("random_temporal", 42, parallelism, 20000.0);
+    auto unpaced = ScenarioPlan("random_temporal", 42, parallelism, 0.0);
+    ASSERT_NE(paced, nullptr);
+    ASSERT_NE(unpaced, nullptr);
+    EXPECT_EQ(PlanBatchRows(*paced), parallelism == 1 ? 40u : 256u);
+    // Pacing never changes bytes: both plans' offline runs equal the
+    // scenario's offline run, and so does each served stream.
+    auto scenario = Resolve("random_temporal", 42);
+    ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+    const std::string offline =
+        OfflineCsv(scenario.ValueOrDie(), 42, parallelism);
+    ASSERT_FALSE(offline.empty());
+    EXPECT_EQ(OfflinePlanCsv(*paced), offline);
+    EXPECT_EQ(OfflinePlanCsv(*unpaced), offline);
+    EXPECT_EQ(ServePlanOnce(paced, false).csv, offline);
+    EXPECT_EQ(ServePlanOnce(unpaced, false).csv, offline);
+  }
+}
+
+TEST(PollutionServer, BatchFramesEndAtPacedRuntimeBatches) {
+  auto plan = ScenarioPlan("random_temporal", 42, 1, 20000.0);
+  ASSERT_NE(plan, nullptr);
+  const size_t rows = plan->clean->size();
+  const size_t batch = PlanBatchRows(*plan);
+  const std::string offline = OfflinePlanCsv(*plan);
+  ServedPlan served = ServePlanOnce(plan, /*batch_frames=*/true);
+  EXPECT_EQ(served.csv, offline);
+  // A frame never spans two runtime batches, so there are at least as
+  // many frames as runtime batches (batch_rows is 256, far above 40).
+  EXPECT_GE(served.batches_sent, (rows + batch - 1) / batch);
+}
+
+TEST(PollutionServer, PerTupleWritesFillBatchFramesToBatchRows) {
+  auto plan = ScenarioPlan("random_temporal", 42, 1, 0.0);
+  ASSERT_NE(plan, nullptr);
+  auto rows = scenarios::RunPlanSegmentOffline(*plan, 0, plan->clean->size());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  auto polluted = std::make_shared<const TupleVector>(rows.ValueOrDie());
+  // A session function that writes row by row (as decorators and
+  // traced sinks do) still gets full frames: a Write never ends one.
+  PollutionServer::SessionFn row_by_row = [polluted](const PlanContext&,
+                                                     Sink* sink) {
+    for (const Tuple& t : *polluted) ICEWAFL_RETURN_NOT_OK(sink->Write(t));
+    return Status::OK();
+  };
+  constexpr size_t kBatchRows = 64;
+  ServedPlan served =
+      ServePlanOnce(plan, /*batch_frames=*/true, row_by_row, kBatchRows);
+  EXPECT_EQ(served.csv, ToCsvString(plan->schema, *polluted));
+  EXPECT_EQ(served.batches_sent,
+            (polluted->size() + kBatchRows - 1) / kBatchRows);
+}
+
+TEST(PollutionServer, StopSessionOnAPacedRunEndsWithinAFewBatches) {
+  // 50 rows/s: PlanBatchRows is 1, so the stop reaches the sink one row
+  // interval later. With a 256-row batch the subscriber would get up to
+  // a whole batch after the stop, 5 s of rows at this pace.
+  auto plan = ScenarioPlan("random_temporal", 42, 1, 50.0);
+  ASSERT_NE(plan, nullptr);
+  const size_t batch = PlanBatchRows(*plan);
+  ASSERT_EQ(batch, 1u);
+  PollutionServer server;
+  ASSERT_TRUE(server
+                  .AddSession("slow", nullptr, scenarios::ServePlanToSink,
+                              {.max_runs = 1, .plan = plan})
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = StreamClient::Connect("127.0.0.1", server.port(), "slow");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  StreamClient& stream = *client.ValueOrDie();
+  Tuple tuple;
+  for (int i = 0; i < 5; ++i) {
+    auto next = stream.Next(&tuple);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    ASSERT_TRUE(next.ValueOrDie());
+  }
+  ASSERT_TRUE(server.StopSession("slow").ok());
+  const auto stopped = std::chrono::steady_clock::now();
+  uint64_t after_stop = 0;
+  Status status = Status::OK();
+  while (true) {
+    auto next = stream.Next(&tuple);
+    if (!next.ok()) {
+      status = next.status();
+      break;
+    }
+    if (!next.ValueOrDie()) break;
+    ++after_stop;
+  }
+  EXPECT_FALSE(status.ok()) << "a stopped run must not end cleanly";
+  EXPECT_LE(after_stop, 8 * batch)
+      << "rows kept streaming after StopSession returned";
+  // Hang guard only: the whole run lasts about 21 s at this pace.
+  EXPECT_LT(std::chrono::steady_clock::now() - stopped,
+            std::chrono::seconds(10));
+  ASSERT_TRUE(server.Wait().ok());
 }
 
 }  // namespace

@@ -39,9 +39,11 @@
 #                             # set_rate/metrics), byte-compare a
 #                             # post-swap tail to the offline run of the
 #                             # swapped-in scenario, swap mid-stream
-#                             # under an active tail, and require
+#                             # under an active tail, require
 #                             # lint-rejected swaps to exit 1 with
-#                             # Diagnostics on stderr
+#                             # Diagnostics on stderr, and byte-compare
+#                             # set_rate 20000 tails at --parallelism 1
+#                             # and 2 to their offline runs
 #   tools/check.sh e2e        # end-to-end serving smoke: bench_e2e's
 #                             # --self-test builds the benchmark and
 #                             # serves tiny rounds of every stock
@@ -604,6 +606,43 @@ EOF
     "${outdir}/serve2.prom"
   grep -q 'icewafl_server_plan_version{session="random_temporal"} 3' \
     "${outdir}/serve2.prom"
+
+  # Paced serving batches by the pace at parallelism 1 (40 rows at
+  # 20000 rows/s) and keeps 256 above it; either way the bytes must be
+  # the offline run's.
+  local parallelism
+  for parallelism in 1 2; do
+    echo "=== admin: set_rate 20000 at --parallelism ${parallelism}," \
+      "byte-compare the paced tail ==="
+    "${cli}" serve --scenario random_temporal --seed 7 --port 0 \
+      --admin-port 0 --max-sessions 1 --parallelism "${parallelism}" \
+      >"${outdir}/serve_p${parallelism}.log" 2>&1 &
+    server_pid=$!
+    port=$(scrape_port "${outdir}/serve_p${parallelism}.log" \
+      "serving scenario" "${server_pid}")
+    admin_port=$(scrape_port "${outdir}/serve_p${parallelism}.log" \
+      "admin channel on" "${server_pid}")
+    if [ -z "${port}" ] || [ -z "${admin_port}" ]; then
+      echo "admin: paced server never printed both banners:"
+      cat "${outdir}/serve_p${parallelism}.log"
+      kill "${server_pid}" 2>/dev/null || true
+      return 1
+    fi
+    "${cli}" admin set_rate --connect "127.0.0.1:${admin_port}" \
+      --session random_temporal --rate 20000 | grep -q '"plan_version": 2'
+    "${cli}" run --scenario random_temporal --seed 7 \
+      --parallelism "${parallelism}" \
+      --output "${outdir}/offline_p${parallelism}.csv" >/dev/null
+    "${cli}" tail --connect "127.0.0.1:${port}" \
+      --csv-out "${outdir}/paced_p${parallelism}.csv"
+    cmp "${outdir}/offline_p${parallelism}.csv" \
+      "${outdir}/paced_p${parallelism}.csv"
+    if ! wait "${server_pid}"; then
+      echo "admin: paced server exited non-zero:"
+      cat "${outdir}/serve_p${parallelism}.log"
+      return 1
+    fi
+  done
   echo "=== admin: OK ==="
 }
 
