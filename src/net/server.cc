@@ -87,13 +87,14 @@ class PollutionServer::FanoutSink : public Sink {
 
   // A single tuple is a batch of one through the same fan-out path; for
   // batch subscribers it joins the pending Batch frame, which fills to
-  // batch_rows.
+  // batch_rows. The one-row vector is a member, reused on every call.
   Status Write(const Tuple& tuple) override { return Write(Tuple(tuple)); }
 
   Status Write(Tuple&& tuple) override {
-    TupleVector one;
-    one.push_back(std::move(tuple));
-    return FanOut(&one);
+    one_.push_back(std::move(tuple));
+    Status st = FanOut(&one_);
+    one_.clear();
+    return st;
   }
 
   /// One runtime batch: its Batch frames end at its boundary (and still
@@ -223,6 +224,7 @@ class PollutionServer::FanoutSink : public Sink {
   bool has_tuple_ = false;
   const size_t batch_rows_;
   TupleVector pending_;
+  TupleVector one_;  ///< The row of a per-tuple Write.
   uint64_t count_ = 0;
 };
 
@@ -329,7 +331,11 @@ Status PollutionServer::StopSession(const std::string& id) {
       RetireLocked(session, "session '" + id + "' stopped");
     }
     // kRunning: the worker's sink aborts at its next batch and the run
-    // epilogue retires the session.
+    // epilogue retires the session. Under kBlock that batch may never
+    // come: the fan-out can sit in Push on the full queue of a
+    // subscriber that stopped reading. Poisoning the participants'
+    // queues wakes it there (channel locks rank below session locks).
+    for (const ConnPtr& conn : session->running) conn->queue->Poison();
   }
   cv_.NotifyAll();
   wake_.Poke();
@@ -634,6 +640,7 @@ void PollutionServer::WorkerLoop() {
       if (session->state != Session::State::kQueued) continue;
       session->state = Session::State::kRunning;
       participants.swap(session->waiting);
+      session->running = participants;
       for (const ConnPtr& c : participants) {
         MutexLock conn_lock(&c->mu);
         c->in_run = true;
@@ -691,6 +698,7 @@ void PollutionServer::RunSession(const SessionPtr& session,
     bool done = false;
     {
       MutexLock session_lock(&session->mu);
+      session->running.clear();
       ++session->runs;
       if (session->metrics.runs != nullptr) session->metrics.runs->Increment();
       runs_completed_.fetch_add(1, std::memory_order_relaxed);

@@ -296,6 +296,9 @@ class PollutionServer {
     bool stop_requested GUARDED_BY(mu) = false;
     uint64_t runs GUARDED_BY(mu) = 0;
     std::vector<std::shared_ptr<Connection>> waiting GUARDED_BY(mu);
+    /// Participants of the run in progress (empty unless kRunning), so
+    /// a stop can wake a fan-out blocked on one of their queues.
+    std::vector<std::shared_ptr<Connection>> running GUARDED_BY(mu);
     /// Newest published snapshot (null for plan-less sessions). Swapped
     /// whole — the snapshot behind the pointer is immutable, so a
     /// running pipeline holding the old PlanPtr is never raced.

@@ -12,8 +12,10 @@ namespace icewafl {
 
 namespace {
 
-/// Drives `*batch` through ops[first..], leaving the chain output in
-/// `*result` (appended). The batch is consumed.
+/// Drives `*batch` through ops[first..]; the last operator emits
+/// straight into `*result` (appended), so a one-operator chain needs no
+/// vector of its own. The batch is consumed: it is left empty with its
+/// capacity, ready to be the worker's next output vector.
 Status RunBatchThroughOps(const std::vector<Operator*>& ops, size_t first,
                           TupleVector* batch, TupleVector* result) {
   if (first >= ops.size()) {
@@ -21,16 +23,17 @@ Status RunBatchThroughOps(const std::vector<Operator*>& ops, size_t first,
     batch->clear();
     return Status::OK();
   }
-  TupleVector current = std::move(*batch);
-  batch->clear();
-  TupleVector next;
+  // Longer chains hand the rows on through two scratch vectors in turn.
+  TupleVector scratch[2];
+  TupleVector* in = batch;
   for (size_t i = first; i < ops.size(); ++i) {
-    next.clear();
-    VectorEmitter emitter(&next);
-    ICEWAFL_RETURN_NOT_OK(ops[i]->ProcessBatch(&current, &emitter));
-    std::swap(current, next);
+    TupleVector* out =
+        i + 1 == ops.size() ? result : &scratch[(i - first) % 2];
+    VectorEmitter emitter(out);
+    ICEWAFL_RETURN_NOT_OK(ops[i]->ProcessBatch(in, &emitter));
+    in->clear();
+    in = out;
   }
-  for (Tuple& t : current) result->push_back(std::move(t));
   return Status::OK();
 }
 
@@ -121,6 +124,15 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
     inputs.push_back(std::make_unique<BatchChannel>(capacity));
     outputs.push_back(std::make_unique<BatchChannel>(capacity));
   }
+  // Return path of spent batches, sink -> source. The source allocates
+  // a batch only when this pool is empty, so a run never holds more
+  // batches than fit in it at once: a full input and output channel per
+  // worker, the batch each worker fills at the source, the two a worker
+  // holds, and the sink's one. Sized to that bound, the pool never makes
+  // the sink free a batch the source would allocate again. Neither
+  // stage waits on it (TryPush / TryPop).
+  const size_t in_flight = 2 * capacity * workers + 3 * workers + 1;
+  BatchChannel spent(in_flight);
 
   // Registry handles per stage, resolved once up front so the stage
   // loops pay only a pointer-null check (metrics off) or a relaxed
@@ -175,6 +187,7 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
   auto poison_all = [&] {
     for (auto& ch : inputs) ch->Poison();
     for (auto& ch : outputs) ch->Poison();
+    spent.Poison();
   };
 
   // --- Worker stages ----------------------------------------------------
@@ -192,6 +205,9 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
       for (const auto& op : chain) ops.push_back(op.get());
 
       TupleVector batch;
+      // The drained input vector of one batch is the output vector of
+      // the next, so the worker allocates no vectors in steady state.
+      TupleVector out_batch;
       bool downstream_open = true;
       while (inputs[w]->Pop(&batch)) {
         gauge.Remove(batch.size());
@@ -201,7 +217,6 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
           obs_handles.tuples_in->Increment(batch.size());
           obs_handles.batches->Increment();
         }
-        TupleVector out_batch;
         Status st = RunBatchThroughOps(ops, 0, &batch, &out_batch);
         if (!st.ok()) {
           worker_status[w] = st;
@@ -219,6 +234,7 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
           downstream_open = false;
           break;
         }
+        out_batch = std::move(batch);
       }
       if (worker_status[w].ok() && downstream_open) {
         TupleVector flushed;
@@ -243,44 +259,53 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
   std::thread source_thread([&] {
     const StageHandles& obs_handles = handles.front();
     obs::ScopedSpan stage_span(trace, "source", "stage", 0);
-    // Per-worker accumulators implementing tuple round-robin: tuple i
-    // goes to worker i % parallelism, batches flush once full.
+    // Per-worker batches implementing tuple round-robin: tuple i goes to
+    // worker i % parallelism, into row filled[w] of pending[w]. A batch
+    // is a spent one from the sink when the pool has one, so Next()
+    // overwrites rows whose value buffers are already allocated.
     std::vector<TupleVector> pending(workers);
-    for (TupleVector& p : pending) p.reserve(batch_size);
+    std::vector<size_t> filled(workers, 0);
+    // Sends worker w's first `filled[w]` rows; false if the worker aborted.
+    auto send = [&](size_t w) {
+      const size_t n = filled[w];
+      filled[w] = 0;
+      pending[w].resize(n);
+      source_stage.tuples_out += n;
+      ++source_stage.batches;
+      if (obs_handles.tuples_out != nullptr) {
+        obs_handles.tuples_out->Increment(n);
+        obs_handles.batches->Increment();
+      }
+      if (batch_histogram != nullptr) {
+        batch_histogram->Observe(static_cast<double>(n));
+      }
+      gauge.Add(n);
+      if (inputs[w]->Push(std::move(pending[w]))) return true;
+      gauge.Remove(n);
+      return false;
+    };
     bool aborted = false;
-    Tuple tuple;
     uint64_t index = 0;
     while (true) {
-      auto more = source->Next(&tuple);
+      const size_t w = static_cast<size_t>(index % workers);
+      if (filled[w] == 0) {
+        // pending[w] is empty here (moved out by its last send), so an
+        // empty pool leaves a fresh batch to grow.
+        (void)spent.TryPop(&pending[w]);
+        pending[w].resize(batch_size);
+      }
+      auto more = source->Next(&pending[w][filled[w]]);
       if (!more.ok()) {
         source_status = more.status();
         poison_all();
         return;
       }
       if (!more.ValueOrDie()) break;
-      const size_t w = static_cast<size_t>(index % workers);
       ++index;
-      pending[w].push_back(std::move(tuple));
-      if (pending[w].size() >= batch_size) {
-        source_stage.tuples_out += pending[w].size();
-        ++source_stage.batches;
-        if (obs_handles.tuples_out != nullptr) {
-          obs_handles.tuples_out->Increment(pending[w].size());
-          obs_handles.batches->Increment();
-        }
-        if (batch_histogram != nullptr) {
-          batch_histogram->Observe(static_cast<double>(pending[w].size()));
-        }
-        gauge.Add(pending[w].size());
-        const size_t n = pending[w].size();
-        if (!inputs[w]->Push(std::move(pending[w]))) {
-          // A worker aborted; the remaining stream cannot be processed.
-          gauge.Remove(n);
-          aborted = true;
-          break;
-        }
-        pending[w] = TupleVector();
-        pending[w].reserve(batch_size);
+      if (++filled[w] == batch_size && !send(w)) {
+        // A worker aborted; the remaining stream cannot be processed.
+        aborted = true;
+        break;
       }
     }
     source_stage.tuples_in = index;
@@ -290,19 +315,7 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
       return;
     }
     for (size_t w = 0; w < workers; ++w) {
-      if (pending[w].empty()) continue;
-      source_stage.tuples_out += pending[w].size();
-      ++source_stage.batches;
-      if (obs_handles.tuples_out != nullptr) {
-        obs_handles.tuples_out->Increment(pending[w].size());
-        obs_handles.batches->Increment();
-      }
-      if (batch_histogram != nullptr) {
-        batch_histogram->Observe(static_cast<double>(pending[w].size()));
-      }
-      gauge.Add(pending[w].size());
-      const size_t n = pending[w].size();
-      if (!inputs[w]->Push(std::move(pending[w]))) gauge.Remove(n);
+      if (filled[w] > 0) (void)send(w);
     }
     for (auto& ch : inputs) ch->Close();
   });
@@ -343,7 +356,10 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
               obs_handles.tuples_out->Increment(n);
             }
           }
-          batch.clear();
+          // The rows the sink left in the batch go back to the source as
+          // storage. A pool that cannot take it (poisoned, or full after
+          // Finish re-emissions) frees it here.
+          (void)spent.TryPush(std::move(batch));
         }
       }
       w = (w + 1) % workers;

@@ -28,7 +28,10 @@ struct RuntimeOptions {
 
   /// Batches each inter-stage channel may buffer before `Push` blocks.
   /// Peak tuple buffering of a run is O(channel_capacity * batch_size *
-  /// parallelism) regardless of stream length.
+  /// parallelism) regardless of stream length. Spent batches return
+  /// from the sink to the source, and a run never holds more batches
+  /// than fit in its channels and stages at once (2 * channel_capacity
+  /// * parallelism + 3 * parallelism + 1).
   size_t channel_capacity = 4;
 
   /// Optional observability sinks (not owned; may be nullptr). When set,
@@ -94,7 +97,11 @@ struct RuntimeStats {
 ///    batch into its bounded output channel; after its input closes it
 ///    flushes `Finish()` state front-to-back through the remaining chain;
 ///  - the *sink stage* (caller thread) pops output batches in a
-///    deterministic worker rotation and moves the tuples into the sink.
+///    deterministic worker rotation and hands each to the sink, then
+///    returns the spent batch to the source through a bounded pool; the
+///    source fills its next batch from that pool, so rows a sink leaves
+///    in place come back with their value buffers and are overwritten
+///    without a per-row allocation.
 ///
 /// Unlike the legacy materializing executors, no stage ever holds the
 /// whole stream: peak buffering is bounded by the channel capacities, so

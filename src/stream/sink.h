@@ -27,12 +27,13 @@ class Sink {
   /// \brief Consumes one batch of tuples, in order. The pipeline
   /// runtime's sink stage calls this once per batch it pops, so a sink
   /// that pays a fixed cost per call (a lock, an enqueue, a syscall)
-  /// can pay it once per batch. The sink may move the tuples out; the
-  /// caller clears `*batch` afterwards and must not read its rows. On
-  /// error, how many leading rows were consumed is unspecified. The
-  /// default writes each tuple through the move-aware Write, so sinks
-  /// and decorators that only implement Write behave as if called
-  /// tuple by tuple.
+  /// can pay it once per batch. The sink may move the tuples out. The
+  /// rows it leaves in `*batch` go back to the source as storage for
+  /// later rows, so a sink must not keep pointers or references to them
+  /// once it returns. On error, how many leading rows were consumed is
+  /// unspecified. The default writes each tuple through the move-aware
+  /// Write, so sinks and decorators that only implement Write behave as
+  /// if called tuple by tuple.
   virtual Status WriteBatch(TupleVector* batch) {
     for (Tuple& t : *batch) ICEWAFL_RETURN_NOT_OK(Write(std::move(t)));
     return Status::OK();

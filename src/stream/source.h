@@ -26,6 +26,12 @@ class Source {
 
   /// \brief Produces the next tuple into `*out`. Returns false at end of
   /// stream (bounded sources only), true otherwise.
+  ///
+  /// `*out` may hold an earlier row's storage: the pipeline runtime
+  /// recycles spent batches, so a copy-assignment into it reuses live
+  /// value buffers. A source must therefore overwrite every field of
+  /// `*out` (schema, values, id, event and arrival time, substream),
+  /// never just the values; assigning a whole Tuple does that.
   virtual Result<bool> Next(Tuple* out) = 0;
 
   /// \brief Rewinds to the beginning, if the source supports replay.

@@ -635,6 +635,71 @@ TEST(PollutionServer, StopSessionAbortsARunInProgress) {
   EXPECT_FALSE(status.ok()) << "an aborted run must not end cleanly";
 }
 
+TEST(PollutionServer, StopSessionReachesARunBlockedOnAFullQueue) {
+  // Under kBlock a subscriber that stops reading leaves the fan-out
+  // blocked inside its queue's Push, where no batch-boundary stop probe
+  // runs. StopSession must wake it there.
+  SchemaPtr schema = FatSchema();
+  ServerOptions options;
+  options.queue_capacity = 4;
+  options.slow_consumer = SlowConsumerPolicy::kBlock;
+  PollutionServer server(options);
+  ASSERT_TRUE(
+      server.AddSession("fat", schema, MakeFatSession(schema, 100000), {})
+          .ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = StreamClient::Connect("127.0.0.1", server.port(), "fat");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  // A push that waits counts as blocked once it lands, so read tuple by
+  // tuple until one has: the queue has then been full. After that the
+  // client stops reading; once the pushes stop too, the fan-out is
+  // wedged in Push on the full queue.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  Tuple tuple;
+  while (server.frame_queue_stats().blocked_pushes == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    auto next = client.ValueOrDie()->Next(&tuple);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    ASSERT_TRUE(next.ValueOrDie());
+  }
+  ASSERT_GT(server.frame_queue_stats().blocked_pushes, 0u);
+  uint64_t pushes = server.frame_queue_stats().pushes;
+  while (std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const uint64_t now = server.frame_queue_stats().pushes;
+    if (now == pushes) break;
+    pushes = now;
+  }
+  ASSERT_TRUE(server.StopSession("fat").ok());
+  // Hang guard: a stop that never reaches the run fails here instead of
+  // hanging; RequestStop then unwedges the run so the test can end.
+  const auto stopped = std::chrono::steady_clock::now();
+  while (server.runs_completed() == 0 &&
+         std::chrono::steady_clock::now() - stopped <
+             std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (server.runs_completed() == 0) {
+    server.RequestStop();
+    (void)server.Wait();
+    FAIL() << "StopSession did not reach the run blocked on a full queue";
+  }
+  // Reading what was buffered lets the reactor flush and hang up; the
+  // stream must end in an error, and Wait() then returns.
+  Status status = Status::OK();
+  while (status.ok()) {
+    auto next = client.ValueOrDie()->Next(&tuple);
+    if (!next.ok()) {
+      status = next.status();
+    } else if (!next.ValueOrDie()) {
+      break;
+    }
+  }
+  EXPECT_FALSE(status.ok()) << "an aborted run must not end cleanly";
+  EXPECT_TRUE(server.Wait().ok()) << "a requested stop is not an error";
+}
+
 TEST(PollutionServer, RetiredSessionRejectsNewSubscribers) {
   auto scenario = Resolve("random_temporal", 42);
   ASSERT_TRUE(scenario.ok());

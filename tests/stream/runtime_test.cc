@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <set>
 #include <thread>
 
+#include "core/polluter_operator.h"
 #include "stream/executor.h"
 #include "stream/operator.h"
 #include "stream/sink.h"
@@ -490,6 +493,186 @@ TEST(PipelineRuntimeTest, MatchesMaterializingExecutor) {
   for (const Tuple& t : pipelined.tuples()) sum_a += t.value(1).AsDouble();
   for (const Tuple& t : materialized.tuples()) sum_b += t.value(1).AsDouble();
   EXPECT_DOUBLE_EQ(sum_a, sum_b);
+}
+
+// ---------------------------------------------------------------------
+// Batch recycling: spent batches return from the sink to the source.
+// ---------------------------------------------------------------------
+
+/// Replays `rows` and counts the Next calls whose `*out` arrived holding
+/// a live value buffer wide enough for the row, i.e. recycled storage.
+class StorageProbeSource : public Source {
+ public:
+  StorageProbeSource(SchemaPtr schema, TupleVector rows, size_t warmup)
+      : schema_(std::move(schema)), rows_(std::move(rows)), warmup_(warmup) {}
+  SchemaPtr schema() const override { return schema_; }
+  Result<bool> Next(Tuple* out) override {
+    if (pos_ >= rows_.size()) return false;
+    if (pos_ >= warmup_ &&
+        out->values().capacity() >= rows_[pos_].num_values()) {
+      ++live_;
+    }
+    *out = rows_[pos_++];
+    return true;
+  }
+  size_t live() const { return live_; }
+
+ private:
+  SchemaPtr schema_;
+  TupleVector rows_;
+  size_t warmup_;
+  size_t pos_ = 0;
+  size_t live_ = 0;
+};
+
+/// Non-moving sink that records the distinct batch buffers it is handed.
+class BufferRecordingSink : public CountingSink {
+ public:
+  Status WriteBatch(TupleVector* batch) override {
+    buffers_.insert(batch->data());
+    return CountingSink::WriteBatch(batch);
+  }
+  size_t distinct_buffers() const { return buffers_.size(); }
+
+ private:
+  std::set<const Tuple*> buffers_;
+};
+
+OperatorChain AddOneChain(int) {
+  OperatorChain chain;
+  chain.push_back(AddOne());
+  return chain;
+}
+
+TEST(PipelineRuntimeTest, NonMovingSinkRecyclesValueBuffersToTheSource) {
+  SchemaPtr schema = TestSchema();
+  constexpr int kRows = 100000;
+  for (int parallelism : {1, 3}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    RuntimeOptions options;
+    options.parallelism = parallelism;
+    // Warm-up: enough rows to fill every channel and in-flight batch.
+    const size_t warmup = 8 * (options.channel_capacity + 2) *
+                          options.batch_size *
+                          static_cast<size_t>(parallelism);
+    StorageProbeSource source(schema, MakeTuples(schema, kRows), warmup);
+    CountingSink sink;
+    PipelineRuntime runtime(options);
+    ASSERT_TRUE(runtime.Run(&source, AddOneChain, &sink).ok());
+    ASSERT_EQ(sink.count(), static_cast<uint64_t>(kRows));
+    const size_t probed = kRows - warmup;
+    EXPECT_GE(source.live(), probed * 9 / 10)
+        << source.live() << " of " << probed
+        << " rows after warm-up reused a live value buffer";
+  }
+}
+
+TEST(PipelineRuntimeTest, RecycledBatchBuffersStayWithinThePoolBound) {
+  SchemaPtr schema = TestSchema();
+  for (int parallelism : {1, 3}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    RuntimeOptions options;
+    options.parallelism = parallelism;
+    VectorSource source(schema, MakeTuples(schema, 100000));
+    BufferRecordingSink sink;
+    PipelineRuntime runtime(options);
+    ASSERT_TRUE(runtime.Run(&source, AddOneChain, &sink).ok());
+    ASSERT_EQ(sink.count(), 100000u);
+    // The most batches a run holds at once: each worker's full input
+    // and output channel, the batch it fills at the source, the two it
+    // holds, and the sink's one. The source allocates only when the pool
+    // of spent batches is empty, so no run ever makes more.
+    const size_t p = static_cast<size_t>(parallelism);
+    const size_t bound = 2 * options.channel_capacity * p + 3 * p + 1;
+    EXPECT_LE(sink.distinct_buffers(), bound);
+  }
+}
+
+TEST(PipelineRuntimeTest, MovingSinkAndFreshTupleSourceKeepTheOutput) {
+  SchemaPtr schema = TestSchema();
+  constexpr int kRows = 5000;
+  const TupleVector input = MakeTuples(schema, kRows);
+  for (int parallelism : {1, 3}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    // Each call builds a fresh tuple and moves it into `*out`.
+    GeneratorSource source(schema, [&](uint64_t i) -> std::optional<Tuple> {
+      if (i >= input.size()) return std::nullopt;
+      return input[i];
+    });
+    VectorSink sink;  // moves every row out of the batch
+    RuntimeOptions options;
+    options.parallelism = parallelism;
+    options.batch_size = 64;
+    PipelineRuntime runtime(options);
+    ASSERT_TRUE(runtime.Run(&source, AddOneChain, &sink).ok());
+    TupleVector out = sink.TakeTuples();
+    ASSERT_EQ(out.size(), input.size());
+    if (parallelism > 1) {
+      std::sort(out.begin(), out.end(), [](const Tuple& a, const Tuple& b) {
+        return a.id() < b.id();
+      });
+    }
+    for (size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i].id(), input[i].id());
+      EXPECT_EQ(out[i].event_time(), input[i].event_time());
+      EXPECT_EQ(out[i].value(0).AsInt64(), input[i].value(0).AsInt64());
+      EXPECT_DOUBLE_EQ(out[i].value(1).AsDouble(),
+                       input[i].value(1).AsDouble() + 1.0);
+    }
+  }
+}
+
+/// Non-moving sink recording each row's id, event time and timestamp.
+class MetadataSink : public Sink {
+ public:
+  using Sink::Write;
+  Status Write(const Tuple& tuple) override {
+    ids.push_back(tuple.id());
+    event_times.push_back(tuple.event_time());
+    timestamps.push_back(tuple.value(0).AsInt64());
+    return Status::OK();
+  }
+  std::vector<TupleId> ids;
+  std::vector<Timestamp> event_times;
+  std::vector<int64_t> timestamps;
+};
+
+TEST(PipelineRuntimeTest, RecycledRowsNeverLeakIdsIntoTheNextRow) {
+  // Clean rows carry no id, so PolluterOperator assigns one; a recycled
+  // row still holding its previous id or event time would skip that.
+  SchemaPtr schema = TestSchema();
+  constexpr int kRows = 20000;
+  TupleVector clean;
+  for (int i = 0; i < kRows; ++i) {
+    clean.emplace_back(schema, std::vector<Value>{Value(int64_t{i} * 60),
+                                                  Value(double{0.5})});
+  }
+  for (int parallelism : {1, 3}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    VectorSource source(schema, clean);
+    MetadataSink sink;
+    RuntimeOptions options;
+    options.parallelism = parallelism;
+    PipelineRuntime runtime(options);
+    ASSERT_TRUE(runtime
+                    .Run(&source,
+                         [](int) {
+                           OperatorChain chain;
+                           chain.push_back(std::make_unique<PolluterOperator>(
+                               PollutionPipeline("none"), 7));
+                           return chain;
+                         },
+                         &sink)
+                    .ok());
+    ASSERT_EQ(sink.ids.size(), static_cast<size_t>(kRows));
+    for (size_t r = 0; r < sink.ids.size(); ++r) {
+      // Row i (timestamp 60 i) is the (i / P)-th row of worker i % P,
+      // whose operator numbers its rows 0, 1, 2, ...
+      const int64_t i = sink.timestamps[r] / 60;
+      ASSERT_EQ(sink.ids[r], static_cast<TupleId>(i / parallelism)) << r;
+      ASSERT_EQ(sink.event_times[r], sink.timestamps[r]) << r;
+    }
+  }
 }
 
 }  // namespace

@@ -23,7 +23,8 @@
 #                             # Schema::IndexOf, then build Release and
 #                             # smoke-run bench_micro_polluters (tiny
 #                             # iteration budget) so its built-in
-#                             # assertions break the build on regression
+#                             # assertions break the build on regression;
+#                             # its BENCH_*.json reports go to build-rel/
 #   tools/check.sh net        # pollution-as-a-service smoke: serve a
 #                             # scenario on an ephemeral loopback port,
 #                             # tail it, and require the received CSV to
@@ -32,7 +33,7 @@
 #                             # with --session, each stream compared to
 #                             # its per-session offline run, plus a
 #                             # bench_net_server fan-out smoke emitting
-#                             # BENCH_net.json
+#                             # build/BENCH_net.json
 #   tools/check.sh admin      # live control-plane smoke: serve with
 #                             # --admin-port 0, drive the admin channel
 #                             # with icewafl_cli admin (list/get/swap/
@@ -51,6 +52,9 @@
 #                             # real server to decoding clients; each
 #                             # must decode the offline digest and
 #                             # report every BENCHMARK.json metric
+#
+# Reports (BENCH_*.json) land in the build directories, never in
+# tracked files, so running a gate leaves `git diff` clean.
 #
 # The sanitizer presets compile with -Werror, so this script is also the
 # warning gate. (-Wmaybe-uninitialized is excluded there: with
@@ -265,12 +269,13 @@ run_bench() {
   # The tiny time budget keeps this a compile-and-assert smoke, not a
   # measurement; the binaries' built-in ratio assertions (keyed
   # overhead, batch-frame encode floor) still run at full strength, and
-  # bench_net_wire emits BENCH_wire.json.
+  # bench_net_wire emits build-rel/BENCH_wire.json.
+  local reports=build-rel
   ./build-rel/bench/bench_micro_polluters --benchmark_min_time=0.01
   ./build-rel/bench/bench_net_wire --benchmark_min_time=0.01 \
-    --out BENCH_wire.json
+    --out "${reports}/BENCH_wire.json"
   if command -v python3 >/dev/null 2>&1; then
-    python3 - BENCH_wire.json <<'EOF'
+    python3 - "${reports}/BENCH_wire.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     wire = json.load(f)
@@ -289,15 +294,15 @@ print(f"bench: BENCH_wire.json OK "
       f"tuple decode/encode {ratio:.2f}x)")
 EOF
   else
-    grep -q '"encode_speedup"' BENCH_wire.json
+    grep -q '"encode_speedup"' "${reports}/BENCH_wire.json"
   fi
   echo "=== bench: bench_runtime_pipeline → BENCH_runtime.json ==="
   # Tiny stream: a schema/emission smoke, not a measurement. The real
   # numbers come from the default full-size run.
   ./build-rel/bench/bench_runtime_pipeline --tuples 20000 --reps 2 \
-    --out BENCH_runtime.json >/dev/null
+    --out "${reports}/BENCH_runtime.json" >/dev/null
   if command -v python3 >/dev/null 2>&1; then
-    python3 - BENCH_runtime.json <<'EOF'
+    python3 - "${reports}/BENCH_runtime.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
@@ -316,16 +321,16 @@ print(f"bench: BENCH_runtime.json OK "
       f"(pipelined P=4 speedup {report['speedup_p4']:.2f}x)")
 EOF
   else
-    grep -q '"speedup_p4"' BENCH_runtime.json
+    grep -q '"speedup_p4"' "${reports}/BENCH_runtime.json"
   fi
   echo "=== bench: bench_clean → BENCH_clean.json ==="
   # Tiny stream again: the binary's built-in assertions (every rule
   # family fires and measures, checksum-identical output at parallelism
   # 1/2/4) run at full strength regardless of stream size.
-  ./build-rel/bench/bench_clean --tuples 50000 --out BENCH_clean.json \
-    >/dev/null
+  ./build-rel/bench/bench_clean --tuples 50000 \
+    --out "${reports}/BENCH_clean.json" >/dev/null
   if command -v python3 >/dev/null 2>&1; then
-    python3 - BENCH_clean.json <<'EOF'
+    python3 - "${reports}/BENCH_clean.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
@@ -343,7 +348,7 @@ print(f"bench: BENCH_clean.json OK "
       f"(stateful overhead {report['stateful_overhead']:.2f}x)")
 EOF
   else
-    grep -q '"stateful_overhead"' BENCH_clean.json
+    grep -q '"stateful_overhead"' "${reports}/BENCH_clean.json"
   fi
   echo "=== bench: OK ==="
 }
@@ -461,12 +466,12 @@ EOF
   cmp "${outdir}/beta_offline.csv" "${outdir}/beta_tail.csv"
   echo "net: per-session digest match (alpha, beta)"
 
-  echo "=== net: bench_net_server → BENCH_net.json ==="
+  echo "=== net: bench_net_server → build/BENCH_net.json ==="
   cmake --build --preset default -j "${jobs}" --target bench_net_server
   ./build/bench/bench_net_server --sessions 2 --subscribers 2 \
-    --tuples 5000 --out BENCH_net.json >/dev/null
+    --tuples 5000 --out build/BENCH_net.json >/dev/null
   if command -v python3 >/dev/null 2>&1; then
-    python3 - BENCH_net.json <<'EOF'
+    python3 - build/BENCH_net.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
@@ -479,7 +484,7 @@ print(f"net: BENCH_net.json OK "
       f"({report['fanout_tuples_per_sec']:.0f} tuples/s fan-out)")
 EOF
   else
-    grep -q '"fanout_tuples_per_sec"' BENCH_net.json
+    grep -q '"fanout_tuples_per_sec"' build/BENCH_net.json
   fi
   echo "=== net: OK ==="
 }
