@@ -1,7 +1,7 @@
 // Ablation A2: scaling behaviour of the pollution process. Sweeps the
-// pipeline length l, the number of sub-streams m, and sequential vs
-// parallel sub-stream execution — the dimensions of the complexity bound
-// O(n * m * (1/m + l + log(n*m))) given in Section 2.3.
+// pipeline length l, the number of sub-streams m, the overlap fraction,
+// and the pipelined runtime's parallelism — the dimensions of the
+// complexity bound O(n * m * (1/m + l + log(n*m))) given in Section 2.3.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 #include "core/keyed_polluter_operator.h"
 #include "core/polluter_operator.h"
 #include "obs/metrics.h"
-#include "stream/executor.h"
 #include "stream/runtime.h"
 #include "core/process.h"
 #include "data/airquality.h"
@@ -58,13 +57,13 @@ void BM_PipelineLength(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineLength)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
-void RunSubstreams(benchmark::State& state, int m, bool parallel) {
+void BM_Substreams(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
   const TupleVector& stream = Stream();
   SchemaPtr schema = stream.front().schema();
   for (auto _ : state) {
     ProcessOptions options;
     options.num_substreams = m;
-    options.parallel = parallel;
     options.enable_log = false;
     options.seed = 1;
     PollutionProcess process(options);
@@ -78,15 +77,7 @@ void RunSubstreams(benchmark::State& state, int m, bool parallel) {
                           static_cast<int64_t>(stream.size()));
 }
 
-void BM_SubstreamsSequential(benchmark::State& state) {
-  RunSubstreams(state, static_cast<int>(state.range(0)), false);
-}
-BENCHMARK(BM_SubstreamsSequential)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_SubstreamsParallel(benchmark::State& state) {
-  RunSubstreams(state, static_cast<int>(state.range(0)), true);
-}
-BENCHMARK(BM_SubstreamsParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_Substreams)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_OverlapFraction(benchmark::State& state) {
   const double overlap = static_cast<double>(state.range(0)) / 100.0;
@@ -116,8 +107,7 @@ void BM_GlobalPolluterOperator(benchmark::State& state) {
     VectorSource source(schema, stream);
     PolluterOperator op(MakePipeline(4), 1);
     CountingSink sink;
-    std::vector<Operator*> ops = {&op};
-    Status st = StreamExecutor::Run(&source, ops, &sink);
+    Status st = PipelineRuntime().Run(&source, {&op}, &sink);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(sink.checksum());
   }
@@ -185,8 +175,7 @@ void BM_KeyedPolluterOperator(benchmark::State& state) {
     VectorSource source(schema, stream);
     KeyedPolluterOperator op(MakePipeline(4), "WD", 1);
     CountingSink sink;
-    std::vector<Operator*> ops = {&op};
-    Status st = StreamExecutor::Run(&source, ops, &sink);
+    Status st = PipelineRuntime().Run(&source, {&op}, &sink);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(sink.checksum());
   }

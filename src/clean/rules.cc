@@ -404,19 +404,5 @@ Json CleaningRules::ToJson() const {
   return j;
 }
 
-bool CleaningRules::HasStateless() const {
-  for (const auto& r : rules) {
-    if (!r->stateful()) return true;
-  }
-  return false;
-}
-
-bool CleaningRules::HasStateful() const {
-  for (const auto& r : rules) {
-    if (r->stateful()) return true;
-  }
-  return false;
-}
-
 }  // namespace clean
 }  // namespace icewafl

@@ -372,15 +372,12 @@ struct CleaningRules {
   CleaningRules(CleaningRules&&) = default;
   CleaningRules& operator=(CleaningRules&&) = default;
 
-  /// \brief Deep copy (each worker clone of the CleanerOperator owns
-  /// its own rule instances).
+  /// \brief Deep copy (each CleanerOperator owns its own rule
+  /// instances).
   CleaningRules Clone() const;
 
   /// \brief Canonical JSON form; round-trips through RulesFromJson.
   Json ToJson() const;
-
-  bool HasStateless() const;
-  bool HasStateful() const;
 };
 
 }  // namespace clean

@@ -335,7 +335,17 @@ Status PollutionServer::StopSession(const std::string& id) {
     // come: the fan-out can sit in Push on the full queue of a
     // subscriber that stopped reading. Poisoning the participants'
     // queues wakes it there (channel locks rank below session locks).
-    for (const ConnPtr& conn : session->running) conn->queue->Poison();
+    // The participants are killed too: the reactor drops them with
+    // their unsent bytes instead of waiting for a subscriber that may
+    // never read to drain them (connection locks rank below session
+    // locks).
+    for (const ConnPtr& conn : session->running) {
+      {
+        MutexLock conn_lock(&conn->mu);
+        conn->kill = true;
+      }
+      conn->queue->Poison();
+    }
   }
   cv_.NotifyAll();
   wake_.Poke();

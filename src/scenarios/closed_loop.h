@@ -68,8 +68,6 @@ struct ClosedLoopOptions {
   uint64_t dataset_seed = 0;
   /// Pollution seed (condition randomness).
   uint64_t seed = 42;
-  /// Cleaning parallelism (output is byte-identical at every level).
-  int parallelism = 1;
   /// Tumbling re-validation window (seconds of event time).
   int64_t window_seconds = 6 * 3600;
   int64_t allowed_lateness_seconds = 0;

@@ -359,51 +359,6 @@ class PlanSegmentSource : public Source {
   std::chrono::steady_clock::time_point segment_start_{};
 };
 
-/// Sink decorator applying a plan's cleaner to the polluted stream as
-/// it is produced: one sequential kAll CleanerOperator per segment
-/// (fresh history state), so a serving segment's cleaned bytes equal an
-/// offline sequential clean of the same polluted slice — the cleaner
-/// extension of the cutover determinism contract.
-class CleaningSink : public Sink {
- public:
-  CleaningSink(const clean::CleaningRules& rules, Sink* inner)
-      : op_(rules), emitter_(inner) {}
-
-  Status Write(const Tuple& tuple) override {
-    return op_.Process(tuple, &emitter_);
-  }
-  Status Write(Tuple&& tuple) override {
-    return op_.Process(std::move(tuple), &emitter_);
-  }
-  /// Cleans the whole batch, then forwards the survivors as one batch.
-  Status WriteBatch(TupleVector* batch) override {
-    cleaned_.clear();
-    VectorEmitter collect(&cleaned_);
-    ICEWAFL_RETURN_NOT_OK(op_.ProcessBatch(batch, &collect));
-    if (cleaned_.empty()) return Status::OK();
-    return emitter_.sink()->WriteBatch(&cleaned_);
-  }
-  Status Flush() override {
-    ICEWAFL_RETURN_NOT_OK(op_.Finish(&emitter_));
-    return emitter_.sink()->Flush();
-  }
-
- private:
-  class SinkEmitter : public Emitter {
-   public:
-    explicit SinkEmitter(Sink* sink) : sink_(sink) {}
-    Status Emit(Tuple tuple) override { return sink_->Write(std::move(tuple)); }
-    Sink* sink() const { return sink_; }
-
-   private:
-    Sink* sink_;
-  };
-
-  clean::CleanerOperator op_;
-  SinkEmitter emitter_;
-  TupleVector cleaned_;
-};
-
 /// One plan segment, served or offline: `source` through `plan`'s
 /// pipeline at the plan's batch size (PlanBatchRows), then through the
 /// plan's cleaner when it has one, into `sink`. The cleaner is compiled
@@ -411,7 +366,7 @@ class CleaningSink : public Sink {
 /// served segment replays offline byte-identically.
 Status RunPlanSegment(const PlanSnapshot& plan, Source* source, Sink* sink) {
   clean::CleaningRules rules;
-  std::optional<CleaningSink> cleaning;
+  std::optional<clean::CleaningSink> cleaning;
   if (!plan.cleaner.is_null()) {
     ICEWAFL_ASSIGN_OR_RETURN(rules,
                              clean::RulesFromJson(plan.cleaner, plan.schema));

@@ -38,8 +38,7 @@ Status RunBatchThroughOps(const std::vector<Operator*>& ops, size_t first,
 }
 
 /// Flushes buffered operator state front-to-back; each operator's
-/// re-emissions traverse the remaining chain (same ordering contract as
-/// the legacy tuple-at-a-time executor).
+/// re-emissions traverse the remaining chain.
 Status FinishOps(const std::vector<Operator*>& ops, TupleVector* result) {
   for (size_t i = 0; i < ops.size(); ++i) {
     TupleVector flushed;

@@ -18,8 +18,7 @@ namespace icewafl {
 /// \brief Tuning knobs of the pipelined runtime.
 struct RuntimeOptions {
   /// Number of concurrent operator-chain workers (>= 1). Tuples are
-  /// partitioned round-robin (tuple i -> worker i % parallelism), the
-  /// same partitioning the legacy materializing executor used.
+  /// partitioned round-robin (tuple i -> worker i % parallelism).
   int parallelism = 1;
 
   /// Tuples per batch handed between stages. Batching amortizes channel
@@ -73,7 +72,7 @@ struct RuntimeStats {
   uint64_t try_push_closed = 0;
   /// Largest number of tuples queued in channels at any point — the
   /// steady-state memory footprint of the pipeline (compare against the
-  /// stream length for the materializing executors).
+  /// stream length).
   uint64_t peak_buffered_tuples = 0;
   double wall_seconds = 0.0;
 
@@ -103,11 +102,10 @@ struct RuntimeStats {
 ///    in place come back with their value buffers and are overwritten
 ///    without a per-row allocation.
 ///
-/// Unlike the legacy materializing executors, no stage ever holds the
-/// whole stream: peak buffering is bounded by the channel capacities, so
-/// an unbounded source streams at steady-state memory. Output order is
-/// deterministic (a pure function of the input order and parallelism)
-/// but interleaves worker outputs; order-sensitive callers either run
+/// No stage ever holds the whole stream: peak buffering is bounded by
+/// the channel capacities, so an unbounded source streams at
+/// steady-state memory. Output order is deterministic (a pure function
+/// of the input order and parallelism) but interleaves worker outputs; order-sensitive callers either run
 /// with parallelism 1 (exact input order) or re-sort downstream, as the
 /// pollution process does with its arrival-time merge.
 ///

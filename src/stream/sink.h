@@ -17,7 +17,7 @@ class Sink {
   /// \brief Consumes one tuple.
   virtual Status Write(const Tuple& tuple) = 0;
 
-  /// \brief Move-aware overload used by the executors' merge paths; the
+  /// \brief Move-aware overload used by the runtime's sink stage; the
   /// default degrades to the copying Write. Materializing sinks override
   /// it to take ownership without a per-tuple deep copy.
   virtual Status Write(Tuple&& tuple) {

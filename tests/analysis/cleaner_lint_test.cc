@@ -397,14 +397,10 @@ TEST(CleanerLintSoundnessTest, LintCleanDocumentsBindAndRun) {
     ASSERT_TRUE(loaded.ok())
         << "lint-clean document failed to load+bind: "
         << loaded.status().ToString() << "\n" << text;
-    // ...and run over a stream with NULLs, at two parallelism levels,
-    // deterministically.
-    VectorSink p1, p2;
-    ASSERT_TRUE(clean::CleanTuples(loaded.ValueOrDie(), stream, 1, &p1).ok())
+    // ...and clean a stream with NULLs.
+    VectorSink cleaned;
+    ASSERT_TRUE(clean::CleanTuples(loaded.ValueOrDie(), stream, &cleaned).ok())
         << text;
-    ASSERT_TRUE(clean::CleanTuples(loaded.ValueOrDie(), stream, 2, &p2).ok())
-        << text;
-    ASSERT_EQ(p1.tuples().size(), p2.tuples().size()) << text;
   }
   EXPECT_GT(clean, 20u);
   EXPECT_GT(rejected, 20u);

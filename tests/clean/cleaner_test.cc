@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "clean/config.h"
 #include "io/csv.h"
+#include "stream/runtime.h"
 #include "util/rng.h"
 
 namespace icewafl {
@@ -36,12 +39,12 @@ CleaningRules LoadRules(const std::string& text, const SchemaPtr& schema) {
 }
 
 Result<TupleVector> RunClean(const CleaningRules& rules, TupleVector input,
-                             int parallelism = 1, RepairLog* log = nullptr,
+                             RepairLog* log = nullptr,
                              CleanStats* stats = nullptr,
                              obs::MetricRegistry* metrics = nullptr) {
   VectorSink sink;
-  ICEWAFL_RETURN_NOT_OK(CleanTuples(rules, std::move(input), parallelism,
-                                    &sink, metrics, log, stats));
+  ICEWAFL_RETURN_NOT_OK(
+      CleanTuples(rules, std::move(input), &sink, metrics, log, stats));
   return sink.TakeTuples();
 }
 
@@ -59,7 +62,7 @@ TEST(CleanerOperatorTest, DropRemovesViolatingTuples) {
 
   CleanStats stats;
   RepairLog log;
-  Result<TupleVector> out = RunClean(rules, std::move(input), 1, &log, &stats);
+  Result<TupleVector> out = RunClean(rules, std::move(input), &log, &stats);
   ASSERT_TRUE(out.ok()) << out.status().message();
   ASSERT_EQ(out.ValueOrDie().size(), 2u);
   EXPECT_EQ(out.ValueOrDie()[0].id(), 0u);
@@ -168,7 +171,7 @@ TEST(CleanerOperatorTest, EarlierRuleRepairsBeforeLaterRuleSees) {
   input.push_back(Row(schema, 1, Value(9000.0), 0, Value(0.0)));
   CleanStats stats;
   Result<TupleVector> out =
-      RunClean(rules, std::move(input), 1, nullptr, &stats);
+      RunClean(rules, std::move(input), nullptr, &stats);
   ASSERT_TRUE(out.ok());
   EXPECT_DOUBLE_EQ(out.ValueOrDie()[1].value(1).ToDouble().ValueOrDie(), 250.0);
   ASSERT_EQ(stats.rules.size(), 2u);
@@ -227,7 +230,7 @@ TEST(CleanerOperatorTest, PerRuleCountersPublishedThroughRegistry) {
   input.push_back(Row(schema, 1, Value(70.0), 0, Value(999.0)));
   obs::MetricRegistry registry;
   Result<TupleVector> out =
-      RunClean(rules, std::move(input), 1, nullptr, nullptr, &registry);
+      RunClean(rules, std::move(input), nullptr, nullptr, &registry);
   ASSERT_TRUE(out.ok());
   const std::string text = registry.ToPrometheusText();
   EXPECT_NE(text.find("icewafl_cleaner_tuples_total"), std::string::npos);
@@ -240,10 +243,10 @@ TEST(CleanerOperatorTest, PerRuleCountersPublishedThroughRegistry) {
   EXPECT_NE(text.find("rules=\"unit\""), std::string::npos) << text;
 }
 
-// The determinism contract: byte-identical output at every parallelism,
-// including documents mixing pure and stateful rules (the split runner)
-// and pure-only documents (fully parallel path).
-TEST(CleanTuplesTest, ByteIdenticalAcrossParallelism) {
+// One cleaning path: the offline runner and the served sink, fed the
+// same rows in runtime-sized batches, give the same bytes, repair log
+// and counters, on a document mixing pure and stateful rules.
+TEST(CleanTuplesTest, MatchesCleaningSinkBatches) {
   SchemaPtr schema = WearableLikeSchema();
   CleaningRules rules = LoadRules(
       R"({"history": 8, "rules": [
@@ -274,72 +277,41 @@ TEST(CleanTuplesTest, ByteIdenticalAcrossParallelism) {
                         std::move(distance)));
   }
 
-  RepairLog log1;
-  CleanStats stats1;
-  Result<TupleVector> p1 = RunClean(rules, input, 1, &log1, &stats1);
-  ASSERT_TRUE(p1.ok()) << p1.status().message();
-  const std::string golden = ToCsvString(schema, p1.ValueOrDie());
-  ASSERT_GT(stats1.fired, 0u);
-  ASSERT_GT(stats1.tuples_dropped, 0u);
+  RepairLog offline_log;
+  CleanStats offline_stats;
+  Result<TupleVector> offline =
+      RunClean(rules, input, &offline_log, &offline_stats);
+  ASSERT_TRUE(offline.ok()) << offline.status().message();
+  ASSERT_GT(offline_stats.fired, 0u);
+  ASSERT_GT(offline_stats.tuples_dropped, 0u);
 
-  for (int parallelism : {2, 4}) {
-    RepairLog log;
-    CleanStats stats;
-    Result<TupleVector> pn = RunClean(rules, input, parallelism, &log, &stats);
-    ASSERT_TRUE(pn.ok()) << pn.status().message();
-    EXPECT_EQ(ToCsvString(schema, pn.ValueOrDie()), golden)
-        << "parallelism " << parallelism;
-    EXPECT_EQ(stats.fired, stats1.fired) << "parallelism " << parallelism;
-    EXPECT_EQ(stats.tuples_dropped, stats1.tuples_dropped);
-    // Merged per-worker logs equal the sequential log after the sort.
-    ASSERT_EQ(log.size(), log1.size());
-    EXPECT_EQ(log.entries(), log1.entries());
+  VectorSink served;
+  RepairLog served_log;
+  CleaningSink sink(rules, &served, nullptr, &served_log);
+  const size_t batch_rows = RuntimeOptions{}.batch_size;
+  for (size_t start = 0; start < input.size(); start += batch_rows) {
+    const size_t end = std::min(input.size(), start + batch_rows);
+    TupleVector batch(input.begin() + static_cast<ptrdiff_t>(start),
+                      input.begin() + static_cast<ptrdiff_t>(end));
+    ASSERT_TRUE(sink.WriteBatch(&batch).ok());
   }
+  ASSERT_TRUE(sink.Flush().ok());
+
+  EXPECT_EQ(ToCsvString(schema, served.tuples()),
+            ToCsvString(schema, offline.ValueOrDie()));
+  EXPECT_EQ(served_log.entries(), offline_log.entries());
+  EXPECT_EQ(sink.stats().ToJson().Dump(), offline_stats.ToJson().Dump());
 }
 
-TEST(CleanTuplesTest, PureOnlyDocumentRunsParallel) {
-  SchemaPtr schema = WearableLikeSchema();
-  CleaningRules rules = LoadRules(
-      R"({"rules": [
-        {"label": "clamp_bpm", "column": "BPM",
-         "detect": {"type": "range", "min": 20, "max": 250},
-         "repair": "clamp"},
-        {"label": "drop_dist", "column": "Distance",
-         "detect": {"type": "range", "min": 0, "max": 50},
-         "repair": "drop"}]})",
-      schema);
-  ASSERT_TRUE(rules.HasStateless());
-  ASSERT_FALSE(rules.HasStateful());
-
-  TupleVector input;
-  for (int64_t i = 0; i < 200; ++i) {
-    input.push_back(Row(schema, i, Value(i % 5 == 0 ? 500.0 : 70.0), 0,
-                        Value(i % 7 == 0 ? 90.0 : 1.0)));
-  }
-  Result<TupleVector> p1 = RunClean(rules, input, 1);
-  Result<TupleVector> p4 = RunClean(rules, input, 4);
-  ASSERT_TRUE(p1.ok());
-  ASSERT_TRUE(p4.ok());
-  EXPECT_EQ(ToCsvString(schema, p1.ValueOrDie()),
-            ToCsvString(schema, p4.ValueOrDie()));
-}
-
-TEST(RepairLogTest, MergeSortAndDistinctCount) {
+TEST(RepairLogTest, DistinctCountAndJson) {
   RepairLog a;
   a.Record({3, "r", "BPM", "set_null"});
   a.Record({1, "r", "BPM", "set_null"});
-  RepairLog b;
-  b.Record({2, "s", "BPM", "drop"});
-  b.Record({1, "s", "BPM", "drop"});
-  a.Merge(b);
-  a.SortByTuple();
+  a.Record({2, "s", "BPM", "drop"});
+  a.Record({1, "s", "BPM", "drop"});
   ASSERT_EQ(a.size(), 4u);
-  EXPECT_EQ(a.entries()[0].tuple_id, 1u);
   EXPECT_EQ(a.entries()[1].tuple_id, 1u);
-  // Stable: within tuple 1, log-a's entry precedes log-b's.
-  EXPECT_EQ(a.entries()[0].rule, "r");
-  EXPECT_EQ(a.entries()[1].rule, "s");
-  EXPECT_EQ(a.entries()[3].tuple_id, 3u);
+  EXPECT_EQ(a.entries()[3].rule, "s");
   EXPECT_EQ(a.DistinctTupleCount(), 3u);
   const Json json = a.ToJson();
   EXPECT_EQ(json.GetInt("count", 0), 4);

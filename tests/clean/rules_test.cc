@@ -281,8 +281,6 @@ TEST(CleaningRulesTest, ToJsonRoundTripsShape) {
   EXPECT_EQ(json.GetInt("history", 0), 8);
   ASSERT_TRUE(json.Has("rules"));
   EXPECT_EQ(json.Get("rules").ValueOrDie().size(), 2u);
-  EXPECT_TRUE(rules.HasStateless());
-  EXPECT_TRUE(rules.HasStateful());
 
   CleaningRules copy = rules.Clone();
   EXPECT_EQ(copy.rules.size(), 2u);

@@ -149,9 +149,8 @@ inline PollutionPipeline GoldenPipeline(int variant) {
   return pipeline;
 }
 
-/// The three frozen configurations of the golden test. `parallel` only
-/// selects the execution mode; the digest must not depend on it.
-inline Result<PollutionResult> RunGoldenConfig(int config, bool parallel) {
+/// The three frozen configurations of the golden test.
+inline Result<PollutionResult> RunGoldenConfig(int config) {
   SchemaPtr schema = GoldenSchema();
   VectorSource source(schema, GoldenStream(schema, 700));
   switch (config) {
@@ -159,7 +158,6 @@ inline Result<PollutionResult> RunGoldenConfig(int config, bool parallel) {
       ProcessOptions options;
       options.num_substreams = 1;
       options.seed = 42;
-      options.parallel = parallel;
       PollutionProcess process(options);
       process.AddPipeline(GoldenPipeline(0));
       return process.Run(&source);
@@ -169,7 +167,6 @@ inline Result<PollutionResult> RunGoldenConfig(int config, bool parallel) {
       options.num_substreams = 3;
       options.overlap_fraction = 0.35;
       options.seed = 7;
-      options.parallel = parallel;
       PollutionProcess process(options);
       process.AddPipeline(GoldenPipeline(0));
       process.AddPipeline(GoldenPipeline(1));
@@ -181,7 +178,6 @@ inline Result<PollutionResult> RunGoldenConfig(int config, bool parallel) {
       options.num_substreams = 2;
       options.overlap_fraction = 0.1;
       options.seed = 0x1CE3AF1ULL;
-      options.parallel = parallel;
       options.enable_log = false;
       PollutionProcess process(options);
       process.AddPipeline(GoldenPipeline(1));

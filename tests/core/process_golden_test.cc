@@ -20,15 +20,7 @@ class GoldenDeterminismTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(GoldenDeterminismTest, SequentialMatchesGolden) {
   const int config = GetParam();
-  auto result = golden::RunGoldenConfig(config, /*parallel=*/false);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(golden::DigestResult(result.ValueOrDie()),
-            kGoldenDigests[config]);
-}
-
-TEST_P(GoldenDeterminismTest, ParallelMatchesGolden) {
-  const int config = GetParam();
-  auto result = golden::RunGoldenConfig(config, /*parallel=*/true);
+  auto result = golden::RunGoldenConfig(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(golden::DigestResult(result.ValueOrDie()),
             kGoldenDigests[config]);
@@ -36,8 +28,8 @@ TEST_P(GoldenDeterminismTest, ParallelMatchesGolden) {
 
 TEST_P(GoldenDeterminismTest, RepeatedRunsAreIdentical) {
   const int config = GetParam();
-  auto a = golden::RunGoldenConfig(config, /*parallel=*/true);
-  auto b = golden::RunGoldenConfig(config, /*parallel=*/true);
+  auto a = golden::RunGoldenConfig(config);
+  auto b = golden::RunGoldenConfig(config);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(golden::DigestResult(a.ValueOrDie()),
@@ -128,7 +120,6 @@ TEST(ProcessBoundsTest, EmptySourceRuns) {
   VectorSource source(schema, {});
   ProcessOptions options;
   options.num_substreams = 2;
-  options.parallel = true;
   PollutionProcess process(options);
   process.AddPipeline(golden::GoldenPipeline(0));
   process.AddPipeline(golden::GoldenPipeline(1));

@@ -69,30 +69,6 @@ TEST(ClosedLoopTest, ReportJsonCarriesScoringSeries) {
   EXPECT_TRUE(fam.items().front().Has("f1"));
 }
 
-// The cleaned stream is byte-identical at every cleaning parallelism
-// (the split-runner determinism contract, via the closed loop).
-TEST(ClosedLoopTest, CleanedStreamIdenticalAcrossParallelism) {
-  ClosedLoopOptions base;
-  TupleVector cleaned_p1;
-  Result<ClosedLoopReport> r1 =
-      RunClosedLoop("software_update", base, nullptr, &cleaned_p1);
-  ASSERT_TRUE(r1.ok()) << r1.status().message();
-
-  ClosedLoopOptions parallel = base;
-  parallel.parallelism = 4;
-  TupleVector cleaned_p4;
-  Result<ClosedLoopReport> r4 =
-      RunClosedLoop("software_update", parallel, nullptr, &cleaned_p4);
-  ASSERT_TRUE(r4.ok()) << r4.status().message();
-
-  Result<ResolvedScenario> resolved = ResolveScenario("software_update", 0);
-  ASSERT_TRUE(resolved.ok());
-  const SchemaPtr schema = resolved.ValueOrDie().schema;
-  EXPECT_EQ(ToCsvString(schema, cleaned_p1),
-            ToCsvString(schema, cleaned_p4));
-  EXPECT_EQ(r1.ValueOrDie().detections, r4.ValueOrDie().detections);
-}
-
 TEST(ClosedLoopTest, RandomTemporalLoopRepairsNulls) {
   Result<ClosedLoopReport> report = RunClosedLoop("random_temporal");
   ASSERT_TRUE(report.ok()) << report.status().message();

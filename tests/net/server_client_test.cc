@@ -1506,6 +1506,36 @@ TEST(PollutionServer, PerTupleWritesFillBatchFramesToBatchRows) {
             (polluted->size() + kBatchRows - 1) / kBatchRows);
 }
 
+TEST(PollutionServer, StopSessionDropsANonReadingSubscriberAtOnce) {
+  // A stopped session's subscriber that never reads must not hold
+  // Wait() for the reactor's drain grace: its unsent bytes go with it.
+  SchemaPtr schema = FatSchema();
+  ServerOptions options;
+  options.queue_capacity = 4;
+  options.slow_consumer = SlowConsumerPolicy::kBlock;
+  PollutionServer server(options);
+  ASSERT_TRUE(
+      server.AddSession("fat", schema, MakeFatSession(schema, 100000), {})
+          .ok());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = StreamClient::Connect("127.0.0.1", server.port(), "fat");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  // The client never reads: the run fills the queue and blocks on it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.frame_queue_stats().blocked_pushes == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GT(server.frame_queue_stats().blocked_pushes, 0u);
+  ASSERT_TRUE(server.StopSession("fat").ok());
+  const auto stopped = std::chrono::steady_clock::now();
+  EXPECT_TRUE(server.Wait().ok()) << "a requested stop is not an error";
+  EXPECT_LT(std::chrono::steady_clock::now() - stopped,
+            std::chrono::seconds(3))
+      << "Wait() held on the stopped session's unsent bytes";
+}
+
 TEST(PollutionServer, StopSessionOnAPacedRunEndsWithinAFewBatches) {
   // 50 rows/s: PlanBatchRows is 1, so the stop reaches the sink one row
   // interval later. With a 256-row batch the subscriber would get up to

@@ -4,7 +4,7 @@
 
 #include "core/errors_temporal.h"
 #include "core/polluter_operator.h"
-#include "stream/executor.h"
+#include "stream/runtime.h"
 
 namespace icewafl {
 namespace {
@@ -92,7 +92,7 @@ TEST(StreamingDelayTopologyTest, DelayThenReorder) {
   ReorderOperator reorder(/*max_lateness=*/600);
   VectorSource source(schema, tuples);
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&polluter, &reorder}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&polluter, &reorder}, &sink).ok());
   ASSERT_EQ(sink.tuples().size(), tuples.size());
   // Output is arrival-ordered...
   int inversions = 0;

@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "core/polluter_operator.h"
-#include "stream/executor.h"
 #include "stream/operator.h"
 #include "stream/sink.h"
 #include "stream/source.h"
@@ -468,31 +467,41 @@ TEST(PipelineRuntimeTest, PublishesMetricsAndTraceWithoutPerturbingOutput) {
             std::string::npos);
 }
 
-TEST(PipelineRuntimeTest, MatchesMaterializingExecutor) {
-  // Same chain, same input: the pipelined ParallelExecutor facade and the
-  // retained materializing baseline must agree on the multiset of
-  // outputs (CountingSink count + per-worker content checks).
+TEST(PipelineRuntimeTest, ParallelRunMatchesSingleWorkerAsMultiset) {
+  // Same chain, same input: P=4 interleaves worker batches, P=1 keeps
+  // input order; both must emit the same multiset of tuples.
   SchemaPtr schema = TestSchema();
   auto factory = [](int) {
     OperatorChain chain;
     chain.push_back(AddOne());
     return chain;
   };
+  auto run = [&](int parallelism) {
+    VectorSource source(schema, MakeTuples(schema, 333));
+    VectorSink sink;
+    RuntimeOptions options;
+    options.parallelism = parallelism;
+    EXPECT_TRUE(PipelineRuntime(options).Run(&source, factory, &sink).ok());
+    std::multiset<std::pair<TupleId, double>> out;
+    for (const Tuple& t : sink.tuples()) {
+      out.emplace(t.id(), t.value(1).AsDouble());
+    }
+    return out;
+  };
+  const auto single = run(1);
+  ASSERT_EQ(single.size(), 333u);
+  EXPECT_EQ(run(4), single);
+}
 
-  VectorSource s1(schema, MakeTuples(schema, 333));
-  VectorSink pipelined;
-  ParallelExecutor exec(4);
-  ASSERT_TRUE(exec.Run(&s1, factory, &pipelined).ok());
-
-  VectorSource s2(schema, MakeTuples(schema, 333));
-  VectorSink materialized;
-  ASSERT_TRUE(exec.RunMaterializing(&s2, factory, &materialized).ok());
-
-  ASSERT_EQ(pipelined.tuples().size(), materialized.tuples().size());
-  double sum_a = 0.0, sum_b = 0.0;
-  for (const Tuple& t : pipelined.tuples()) sum_a += t.value(1).AsDouble();
-  for (const Tuple& t : materialized.tuples()) sum_b += t.value(1).AsDouble();
-  EXPECT_DOUBLE_EQ(sum_a, sum_b);
+TEST(PipelineRuntimeTest, RejectsZeroParallelism) {
+  SchemaPtr schema = TestSchema();
+  VectorSource source(schema, MakeTuples(schema, 1));
+  VectorSink sink;
+  RuntimeOptions options;
+  options.parallelism = 0;
+  Status st = PipelineRuntime(options).Run(
+      &source, [](int) { return OperatorChain{}; }, &sink);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------

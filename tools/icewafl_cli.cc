@@ -24,14 +24,13 @@
 //              suite, and optionally exports Prometheus metrics and a
 //              Chrome trace_event JSON)
 //   clean     --rules R.json --schema s.json --input in.csv
-//             [--output out.csv] [--log repairs.json] [--parallelism P]
+//             [--output out.csv] [--log repairs.json]
 //             [--metrics-out F.prom] [--null-repr STR]
 //             (rule-based stream repair: lints the cleaning document —
-//              IW70x — against the schema, then detects and repairs;
-//              output is byte-identical at every --parallelism)
+//              IW70x — against the schema, then detects and repairs)
 //             OR
 //             --scenario software_update|random_temporal [--seed N]
-//             [--parallelism P] [--output out.csv] [--report F.json]
+//             [--output out.csv] [--report F.json]
 //             [--metrics-out F.prom] [--window-seconds N]
 //             (the closed pollute -> detect -> clean -> re-validate
 //              loop with the scenario's stock cleaner; prints the
@@ -142,12 +141,11 @@ int Usage() {
       "              [--seed N] [--parallelism P] [--output OUT.csv]\n"
       "              [--metrics-out F.prom] [--trace-out F.json]\n"
       "  icewafl_cli clean --rules R.json --schema S.json --input IN.csv\n"
-      "              [--output OUT.csv] [--log L.json] [--parallelism P]\n"
+      "              [--output OUT.csv] [--log L.json]\n"
       "              [--metrics-out F.prom] [--null-repr STR]\n"
       "  icewafl_cli clean --scenario software_update|random_temporal\n"
-      "              [--seed N] [--parallelism P] [--output OUT.csv]\n"
-      "              [--report F.json] [--metrics-out F.prom]\n"
-      "              [--window-seconds N]\n"
+      "              [--seed N] [--output OUT.csv] [--report F.json]\n"
+      "              [--metrics-out F.prom] [--window-seconds N]\n"
       "  icewafl_cli serve --scenario NAME [--port P] [--host H] [--seed N]\n"
       "              [--parallelism P] [--min-subscribers N]\n"
       "              [--max-sessions N] [--queue-capacity N] [--workers N]\n"
@@ -532,8 +530,6 @@ int RunCleanScenario(const std::map<std::string, std::string>& flags) {
   scenarios::ClosedLoopOptions options;
   options.seed =
       std::strtoull(FlagOr(flags, "seed", "42").c_str(), nullptr, 10);
-  options.parallelism = static_cast<int>(
-      std::strtol(FlagOr(flags, "parallelism", "1").c_str(), nullptr, 10));
   if (flags.count("window-seconds")) {
     int64_t window = 0;
     if (!ParseInt64Flag(flags.at("window-seconds"), &window) || window < 1) {
@@ -557,13 +553,12 @@ int RunCleanScenario(const std::map<std::string, std::string>& flags) {
   const scenarios::ClosedLoopReport& r = report.ValueOrDie();
 
   std::printf("closed loop %s: %llu rows, %llu injections, %llu "
-              "detections (seed %llu, parallelism %d)\n",
+              "detections (seed %llu)\n",
               name.c_str(),
               static_cast<unsigned long long>(r.polluted_rows),
               static_cast<unsigned long long>(r.injections),
               static_cast<unsigned long long>(r.detections),
-              static_cast<unsigned long long>(options.seed),
-              options.parallelism);
+              static_cast<unsigned long long>(options.seed));
   for (const scenarios::FamilyScore& f : r.families) {
     std::printf("  %-24s P %.3f  R %.3f  F1 %.3f  (gt %llu%s)\n",
                 f.family.c_str(), f.precision, f.recall, f.f1,
@@ -629,14 +624,6 @@ int RunClean(const std::map<std::string, std::string>& flags) {
   auto tuples = ReadCsvFile(schema.ValueOrDie(), flags.at("input"), csv);
   if (!tuples.ok()) return Fail(tuples.status());
 
-  int64_t parallelism = 1;
-  if (flags.count("parallelism") &&
-      (!ParseInt64Flag(flags.at("parallelism"), &parallelism) ||
-       parallelism < 1)) {
-    std::fprintf(stderr, "clean: --parallelism needs a positive integer\n");
-    return 2;
-  }
-
   obs::MetricRegistry registry;
   obs::MetricRegistry* metrics_ptr =
       flags.count("metrics-out") ? &registry : nullptr;
@@ -645,8 +632,7 @@ int RunClean(const std::map<std::string, std::string>& flags) {
   clean::RepairLog log;
   clean::CleanStats stats;
   Status st = clean::CleanTuples(rules.ValueOrDie(),
-                                 std::move(tuples).ValueOrDie(),
-                                 static_cast<int>(parallelism), &cleaned,
+                                 std::move(tuples).ValueOrDie(), &cleaned,
                                  metrics_ptr, &log, &stats);
   if (!st.ok()) return Fail(st);
 
@@ -1132,8 +1118,8 @@ int main(int argc, char** argv) {
   if (command == "clean") {
     if (!CheckFlags("clean", flags,
                     {"rules", "schema", "input", "output", "log",
-                     "parallelism", "metrics-out", "null-repr", "scenario",
-                     "seed", "report", "window-seconds"}))
+                     "metrics-out", "null-repr", "scenario", "seed",
+                     "report", "window-seconds"}))
       return 2;
     return RunClean(flags);
   }
